@@ -1,9 +1,9 @@
 """Pure-Python integer box scan.
 
 Reference implementation of the enumeration kernel: walk every nonzero
-trace-zero integer vector in [-bound, bound]^n (lexicographic order on the
-first n-1 coordinates, last coordinate forced by the zero-sum condition) and
-record, against a fixed list of exponent vectors,
+trace-zero integer vector in [-bound, bound]^n with `iter_trace_zero_box`
+(lexicographic order on the first n-1 coordinates, last coordinate forced by
+the zero-sum condition) and record, against a fixed list of exponent vectors,
 
   * the first vector whose weights are all positive,
   * the first vector whose weights are all non-negative with at least one
@@ -55,22 +55,27 @@ def _absorb(basis, vec):
     return True
 
 
-def scan_box_py(gammas, n_vars: int, bound: int):
-    """Returns (scanned, strict, semi, rank, basis_rows, zero_weight_count)."""
-    n = n_vars
-    strict = None
-    semi = None
-    scanned = 0
-    zero_count = 0
-    basis: list = []
+def iter_trace_zero_box(n_vars: int, bound: int):
+    """Yield every nonzero integer vector with zero sum in [-bound, bound]^n,
+    in the order the scan kernels visit them."""
     rng = range(-bound, bound + 1)
-    for head in product(rng, repeat=n - 1):
+    for head in product(rng, repeat=n_vars - 1):
         last = -sum(head)
         if last < -bound or last > bound:
             continue
         if last == 0 and not any(head):
             continue
-        lam = head + (last,)
+        yield head + (last,)
+
+
+def scan_box_py(gammas, n_vars: int, bound: int):
+    """Returns (scanned, strict, semi, rank, basis_rows, zero_weight_count)."""
+    strict = None
+    semi = None
+    scanned = 0
+    zero_count = 0
+    basis: list = []
+    for lam in iter_trace_zero_box(n_vars, bound):
         scanned += 1
         all_nonneg = True
         any_pos = False

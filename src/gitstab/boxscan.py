@@ -3,15 +3,16 @@
 Selects the compiled kernel when the extension was built and the problem fits
 inside its int64 guards, otherwise the pure-Python twin.  Both implement the
 identical algorithm, so the choice never changes a result, only the runtime.
+The box enumerator `iter_trace_zero_box` is re-exported from the pure-Python
+kernel, which walks it; the crosscheck walks the same enumerator.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
 
-from ._boxscan_py import scan_box_py
+from ._boxscan_py import iter_trace_zero_box, scan_box_py  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -48,19 +49,6 @@ def check_box_size(n_vars: int, bound: int):
         raise ValueError(
             f"enumeration box has {count} candidates, above the {MAX_CANDIDATES} limit"
         )
-
-
-def iter_trace_zero_box(n_vars: int, bound: int):
-    """Yield every nonzero integer vector with zero sum in [-bound, bound]^n,
-    in the same order the scan kernels visit them."""
-    rng = range(-bound, bound + 1)
-    for head in product(rng, repeat=n_vars - 1):
-        last = -sum(head)
-        if last < -bound or last > bound:
-            continue
-        if last == 0 and not any(head):
-            continue
-        yield head + (last,)
 
 
 def scan_box(gammas, n_vars: int, bound: int, backend: str | None = None) -> BoxScanResult:

@@ -16,6 +16,17 @@ stable": the exact LP classification on one side, and on the other the sign
 behaviour of the Futaki invariant over every integer generator in an
 enumeration box (non-negative everywhere, vanishing only on trivial
 families).  Disagreements are reported with explicit witnesses.
+
+The box side needs no families.  For an integer trace-zero lambda with
+support weights w = <lambda, gamma>, the family along lambda is trivial
+exactly when all w agree, and its invariant is the closed form at
+kappa = min(w) / gcd(lambda): the family reports the invariant of its
+primitive generator lambda / gcd(lambda), and the Fano-range constant is
+positive, so the sign of the invariant is opposite to that of min(w).  The
+crosscheck therefore reads every violation from the integer weights and
+builds the full family only as an audit, for the first generator of each
+violation kind and the first generator with none; a family that disagrees
+with the integer prediction raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -23,10 +34,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import boxscan, poly, stability
-from .futaki import FutakiValue, futaki_of_limit
+from .futaki import FutakiValue, check_fano_range, futaki_from_kappa, futaki_of_limit
 from .poly import HPoly
 from .vfield import (
     LinearVectorField,
@@ -62,7 +73,8 @@ class DegenerationFamily:
         for e, part in sorted(self.strata.items()):
             piece = poly.scale(part, s**e)
             acc = piece if acc is None else poly.add(acc, piece)
-        assert acc is not None, "a fiber of a nonzero family cannot vanish"
+        if acc is None:
+            raise RuntimeError("a fiber of a nonzero family cannot vanish")
         return acc
 
     @property
@@ -139,12 +151,15 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
     strata = {}
     for w, part in spectrum.entries.items():
         e = w * rescale
-        assert e.denominator == 1 and e >= 0, "cleared exponents must be non-negative integers"
+        if e.denominator != 1 or e < 0:
+            raise RuntimeError("cleared exponents must be non-negative integers")
         strata[int(e)] = part
-    assert 0 in strata, "the floor normalization must leave a weight-zero stratum"
+    if 0 not in strata:
+        raise RuntimeError("the floor normalization must leave a weight-zero stratum")
 
     family = DegenerationFamily(f_work, lam_tilde, rescale, strata)
-    assert family.fiber(1) == f_work, "the family must pass through the polynomial at s=1"
+    if family.fiber(1) != f_work:
+        raise RuntimeError("the family must pass through the polynomial at s=1")
 
     tz = lam_tilde.trace_zero().primitive_integer()
     n = f.n_vars - 1
@@ -214,6 +229,31 @@ class CrosscheckReport:
         }
 
 
+def _weight_kind(lo: int, trivial: bool) -> str | None:
+    """Violation kind of a generator from its minimum support weight lo and
+    whether all its support weights agree; None when there is no violation."""
+    if lo > 0:
+        return "negative_futaki"
+    if lo == 0 and not trivial:
+        return "zero_futaki_nontrivial"
+    if lo < 0 and trivial:
+        return "trivial_positive_futaki"
+    return None
+
+
+def _audit_family(f: HPoly, lam: tuple, value: Fraction, trivial: bool):
+    """Build the full family along lam and check it against the integer
+    prediction of its invariant and triviality."""
+    rep = from_destabilizer(f, WeightVector.from_values(lam))
+    if rep.futaki is None:
+        raise RuntimeError("crosscheck runs inside the Fano range")
+    if rep.futaki.value != value or rep.trivial != trivial:
+        raise RuntimeError(
+            f"family along {lam} has invariant {rep.futaki.value} (trivial={rep.trivial}), "
+            f"but its integer weights predict {value} (trivial={trivial})"
+        )
+
+
 def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
     """Compare LP weak stability against Futaki signs over an integer box.
 
@@ -221,32 +261,41 @@ def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
     family must have non-negative invariant, vanishing exactly on trivial
     families, precisely when f is weakly stable; any generator breaking one
     of these conditions is collected as a violation.
+
+    Each generator is judged from its integer support weights w alone, with
+    lo = min(w) and trivial meaning all w agree: lo > 0 is negative_futaki,
+    lo == 0 on a nontrivial family is zero_futaki_nontrivial, and lo < 0 on
+    a trivial family is trivial_positive_futaki.  The reported invariant is
+    the one of the primitive generator lambda / gcd(lambda), as the family
+    reports it.  The first generator of each kind and the first without a
+    violation are audited against their full degeneration family.
     """
     n = f.n_vars - 1
     d = f.degree
-    if not 1 < d < n + 1:
-        raise ValueError(f"degree d={d} outside the Fano range 1 < d < n+1 for n={n}")
+    check_fano_range(n, d)
     boxscan.check_box_size(f.n_vars, bound)
 
     verdict = stability.classify_torus(f)
     weakly = verdict.classification != stability.NOT_WEAKLY_STABLE
 
+    gammas = list(f.terms)
     violations = []
+    audited = set()
     enumerated = 0
     for lam in boxscan.iter_trace_zero_box(f.n_vars, bound):
         enumerated += 1
-        rep = from_destabilizer(f, WeightVector.from_values(lam))
-        assert rep.futaki is not None, "crosscheck runs inside the Fano range"
-        value = rep.futaki.value
-        if value < 0:
-            kind = "negative_futaki"
-        elif value == 0 and not rep.trivial:
-            kind = "zero_futaki_nontrivial"
-        elif value > 0 and rep.trivial:
-            kind = "trivial_positive_futaki"
-        else:
+        weights = [sum(l * e for l, e in zip(lam, g)) for g in gammas]
+        lo = min(weights)
+        trivial = lo == max(weights)
+        kind = _weight_kind(lo, trivial)
+        if kind is None and None in audited:
             continue
-        violations.append(CrosscheckViolation(lam, value, rep.trivial, kind))
+        value = futaki_from_kappa(n, d, Fraction(lo, gcd(*lam))).value
+        if kind not in audited:
+            audited.add(kind)
+            _audit_family(f, lam, value, trivial)
+        if kind is not None:
+            violations.append(CrosscheckViolation(lam, value, trivial, kind))
 
     box_ok = not violations
     agreement = weakly == box_ok

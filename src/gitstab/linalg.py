@@ -145,10 +145,6 @@ def mat_inv(a):
     return tuple(tuple(red[i][n:]) for i in range(n))
 
 
-def mat_rank(a) -> int:
-    return len(rref(a)[1])
-
-
 def charpoly(a):
     """Characteristic polynomial via the Faddeev-LeVerrier recurrence.
 
@@ -231,13 +227,6 @@ def poly_squarefree_part(p):
     q, r = poly_divmod(p, g)
     assert not r, "gcd failed to divide exactly"
     return poly_monic(q)
-
-
-def poly_eval_scalar(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly_trim(p)):
-        acc = acc * x + c
-    return acc
 
 
 def poly_eval_matrix(p, a):

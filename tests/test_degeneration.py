@@ -5,12 +5,16 @@ from random import Random
 
 import pytest
 
+from gitstab import boxscan, degeneration, stability
 from gitstab.degeneration import (
+    CrosscheckReport,
+    CrosscheckViolation,
     DegenerationError,
     build_degeneration,
     from_destabilizer,
     theorem_crosscheck,
 )
+from gitstab.futaki import FutakiValue
 from gitstab.vfield import LinearVectorField, substitute_linear
 from gitstab.weights import WeightVector, limit_poly, weight_spectrum
 from helpers import hp, random_hpoly, random_trace_zero_ints
@@ -260,3 +264,67 @@ def test_crosscheck_json_shape():
     js = rep.to_json()
     assert set(js) == {"agreement", "weakly_stable", "class", "enumerated", "bound", "violations"}
     assert js["violations"] and set(js["violations"][0]) == {"lambda", "futaki", "trivial", "kind"}
+
+
+def _crosscheck_reference(f, bound):
+    """The crosscheck with one full degeneration family per box generator."""
+    verdict = stability.classify_torus(f)
+    weakly = verdict.classification != stability.NOT_WEAKLY_STABLE
+    violations = []
+    enumerated = 0
+    for lam in boxscan.iter_trace_zero_box(f.n_vars, bound):
+        enumerated += 1
+        rep = from_destabilizer(f, WeightVector.from_values(lam))
+        value = rep.futaki.value
+        if value < 0:
+            kind = "negative_futaki"
+        elif value == 0 and not rep.trivial:
+            kind = "zero_futaki_nontrivial"
+        elif value > 0 and rep.trivial:
+            kind = "trivial_positive_futaki"
+        else:
+            continue
+        violations.append(CrosscheckViolation(lam, value, rep.trivial, kind))
+    box_ok = not violations
+    return CrosscheckReport(
+        verdict, weakly, box_ok, weakly == box_ok, enumerated, bound, tuple(violations)
+    )
+
+
+@pytest.mark.parametrize(
+    "text, n_vars, bound",
+    [
+        (UNSTABLE_CUBIC, 4, 4),
+        ("z0*z1*z2", 4, 3),
+        ("z0^3*z1 + z1^2*z2^2 + z2*z3^3 - z0*z1*z3*z4", 5, 2),
+    ],
+)
+def test_crosscheck_matches_family_per_generator(text, n_vars, bound):
+    f = hp(text, n_vars)
+    assert theorem_crosscheck(f, bound).to_json() == _crosscheck_reference(f, bound).to_json()
+
+
+def test_crosscheck_matches_family_per_generator_on_random_cubic_surfaces():
+    rng = Random(703)
+    for _ in range(20):
+        f = random_hpoly(rng, 4, 3, 8)
+        got = theorem_crosscheck(f, 3).to_json()
+        assert got == _crosscheck_reference(f, 3).to_json(), f"mismatch on {f}"
+
+
+def test_crosscheck_reports_invariant_of_primitive_generator():
+    # (-3,-3,3,3) = 3 * (-1,-1,1,1): the family reports the invariant of the
+    # primitive generator, kappa = -3/3, not of the box vector itself
+    rep = theorem_crosscheck(hp("z0*z1*z2", 4), bound=3)
+    hit = [v for v in rep.violations if tuple(v.generator) == (-3, -3, 3, 3)]
+    assert hit and hit[0].kind == "trivial_positive_futaki"
+    assert hit[0].trivial and hit[0].futaki == Fraction(8, 3)
+
+
+def test_crosscheck_audit_catches_a_wrong_family_invariant(monkeypatch):
+    def wrong(lmbda, f):
+        return FutakiValue(Fraction(12345), f.n_vars - 1, f.degree, Fraction(0))
+
+    monkeypatch.setattr(degeneration, "futaki_of_limit", wrong)
+    with pytest.raises(RuntimeError, match="predict"):
+        theorem_crosscheck(hp(UNSTABLE_CUBIC, 4), bound=2)
