@@ -88,7 +88,7 @@ def _random_basis(rng: Random, n: int):
         except ValueError:
             continue
         return rows
-    raise AssertionError("random search failed to produce an invertible matrix")
+    raise RuntimeError("random search failed to produce an invertible matrix")
 
 
 def _basis_json(basis) -> list:
@@ -273,13 +273,25 @@ def cmd_corpus(args) -> int:
     return EXIT_USAGE if failed else EXIT_OK
 
 
-def cmd_lp_debug(args) -> int:
-    with open(args.program) as fh:
+def _load_program(path) -> lp.LinearProgram:
+    with open(path) as fh:
         spec = json.load(fh)
-    program = lp.LinearProgram.maximize(
-        spec["objective"],
-        [(row, rel, rhs) for row, rel, rhs in spec["constraints"]],
-    )
+    if not isinstance(spec, dict) or not {"objective", "constraints"} <= spec.keys():
+        raise ValueError("program must be a JSON object with 'objective' and 'constraints'")
+    objective, constraints = spec["objective"], spec["constraints"]
+    if not isinstance(objective, list) or not isinstance(constraints, list):
+        raise ValueError("'objective' and 'constraints' must be JSON arrays")
+    for c in constraints:
+        if not (isinstance(c, list) and len(c) == 3 and isinstance(c[0], list)):
+            raise ValueError(f"constraint {json.dumps(c)} is not a [row, rel, rhs] triple")
+    try:
+        return lp.LinearProgram.maximize(objective, constraints)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def cmd_lp_debug(args) -> int:
+    program = _load_program(args.program)
     pivots: list = []
     outcome = lp.solve(program, pivot_log=pivots)
     for k, snap in enumerate(pivots):

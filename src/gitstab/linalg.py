@@ -225,7 +225,8 @@ def poly_squarefree_part(p):
     if not g:
         raise ValueError("zero polynomial")
     q, r = poly_divmod(p, g)
-    assert not r, "gcd failed to divide exactly"
+    if r:
+        raise RuntimeError("gcd failed to divide exactly")
     return poly_monic(q)
 
 

@@ -178,7 +178,8 @@ def solve(program: LinearProgram, pivot_log: list | None = None) -> LPOutcome:
             cost1[c] = Fraction(-1)
         crow = _canonical_cost(cost1, tab, basis)
         status, _ = _iterate(tab, basis, crow, total, pivot_log, phase=1)
-        assert status == OPTIMAL, "phase one is bounded above by zero"
+        if status != OPTIMAL:
+            raise RuntimeError("phase one is bounded above by zero")
         if -crow[-1] < 0:
             log.debug("infeasible: phase-one optimum %s", -crow[-1])
             return LPOutcome(INFEASIBLE, None, None)

@@ -159,12 +159,13 @@ def euler_check(f: HPoly) -> int:
     """Recompute sum(gamma)*f_gamma per term and compare against degree*f.
 
     The constructor already enforces homogeneity, so a mismatch here means
-    internal state was corrupted; that is an assertion failure, not a user
+    internal state was corrupted; that raises RuntimeError, not a user
     error.  Returns the degree.
     """
     applied = {m: c * sum(m) for m, c in f.terms.items()}
     scaled = {m: c * f.degree for m, c in f.terms.items()}
-    assert applied == scaled, "Euler derivation disagrees with stored degree"
+    if applied != scaled:
+        raise RuntimeError("Euler derivation disagrees with stored degree")
     return f.degree
 
 

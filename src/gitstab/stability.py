@@ -84,19 +84,25 @@ def _sorted_support(f: HPoly) -> list:
 
 
 def _validate_destabilizer(f: HPoly, lam: WeightVector, expect_positive: bool):
-    assert lam.trace == 0, "destabilizer must be trace-zero"
-    assert lam.is_integral, "destabilizer must be integral"
-    assert not lam.is_zero, "destabilizer must be nonzero"
+    if lam.trace != 0:
+        raise RuntimeError("destabilizer must be trace-zero")
+    if not lam.is_integral:
+        raise RuntimeError("destabilizer must be integral")
+    if lam.is_zero:
+        raise RuntimeError("destabilizer must be nonzero")
     ws = [lam.dot(g) for g in f.terms]
-    assert all(w >= 0 for w in ws), "destabilizer weights must be non-negative"
-    if expect_positive:
-        assert min(ws) > 0, "strict destabilizer must have positive minimum weight"
+    if any(w < 0 for w in ws):
+        raise RuntimeError("destabilizer weights must be non-negative")
+    if expect_positive and min(ws) <= 0:
+        raise RuntimeError("strict destabilizer must have positive minimum weight")
 
 
 def _fixing_certificate(f: HPoly, basis_vec) -> WeightVector:
     lam = WeightVector.from_values(basis_vec).primitive_integer()
-    assert lam.trace == 0 and not lam.is_zero
-    assert all(lam.dot(g) == 0 for g in f.terms), "fixing vector must annihilate all weights"
+    if lam.trace != 0 or lam.is_zero:
+        raise RuntimeError("fixing vector must be nonzero and trace-zero")
+    if any(lam.dot(g) for g in f.terms):
+        raise RuntimeError("fixing vector must annihilate all weights")
     return lam
 
 
@@ -111,8 +117,10 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     total = tuple(sum(Fraction(g[i]) for g in gammas) for i in range(n))
     cone = [(ones, lp.EQ, 0)] + [(g, lp.GE, 0) for g in gammas]
     out = lp.solve(lp.LinearProgram.maximize(total, cone + [(total, lp.LE, 1)]))
-    assert out.status == lp.OPTIMAL, "capped cone program is always feasible and bounded"
-    assert out.value in (0, 1), "cone programs optimize at 0 or at the cap"
+    if out.status != lp.OPTIMAL:
+        raise RuntimeError("capped cone program is always feasible and bounded")
+    if out.value not in (0, 1):
+        raise RuntimeError("cone programs optimize at 0 or at the cap")
 
     if out.value == 0:
         # Every lambda in C has all weights zero, so C = L.
@@ -127,7 +135,8 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     strict += [(g + (Fraction(-1),), lp.GE, 0) for g in gammas]
     strict += [(m_col, lp.LE, 1)]
     out2 = lp.solve(lp.LinearProgram.maximize(m_col, strict))
-    assert out2.status == lp.OPTIMAL and out2.value in (0, 1)
+    if out2.status != lp.OPTIMAL or out2.value not in (0, 1):
+        raise RuntimeError("strict cone program must optimize at 0 or at the cap")
 
     witness = out2.witness[:n] if out2.value == 1 else out.witness
     lam = WeightVector.from_values(witness).primitive_integer()

@@ -5,7 +5,8 @@ indexed by i, columns by j), so v sends the monomial z^gamma to
 sum_ij a_ij gamma_i z_j z^(gamma - e_i).  Diagonal fields act on monomials
 with eigenvalue <lambda, gamma>; the rest of the module is about reducing a
 general field to that case: the additive semisimple/nilpotent splitting over
-the rationals, exact diagonalization when the eigenvalues are rational, the
+the rationals, exact diagonalization when the eigenvalues are rational
+(decided by integer p-adic root finding, with no external algebra system), the
 truncated exponential of a nilpotent field, and linear changes of coordinates
 on polynomials.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from . import linalg
 from .linalg import frac
@@ -192,34 +194,90 @@ def chevalley_split(v: LinearVectorField) -> tuple:
         d = linalg.poly_eval_matrix(dpsf, s)
         s = linalg.mat_sub(s, linalg.mat_mul(e, linalg.mat_inv(d)))
     else:
-        raise AssertionError("Newton iteration for the semisimple part did not converge")
+        raise RuntimeError("Newton iteration for the semisimple part did not converge")
     n = linalg.mat_sub(a, s)
     semi = LinearVectorField(s)
     nil = LinearVectorField(n)
-    assert linalg.mat_mul(s, n) == linalg.mat_mul(n, s), "parts must commute"
-    assert nil.is_nilpotent(), "nilpotent part must be nilpotent"
-    assert linalg.is_zero_matrix(
-        linalg.poly_eval_matrix(psf, s)
-    ), "semisimple part must kill the squarefree characteristic factor"
+    if linalg.mat_mul(s, n) != linalg.mat_mul(n, s):
+        raise RuntimeError("parts must commute")
+    if not nil.is_nilpotent():
+        raise RuntimeError("nilpotent part must be nilpotent")
+    if not linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, s)):
+        raise RuntimeError("semisimple part must kill the squarefree characteristic factor")
     return semi, nil
 
 
-def _rational_roots(psf):
-    """Roots of a squarefree rational polynomial, or None if it does not
-    split into linear factors over Q.  Factorization is delegated to sympy."""
-    import sympy
+def _primes():
+    p = 2
+    while True:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
 
-    ints, _ = linalg.clear_denominators(psf)
-    x = sympy.Symbol("x")
-    spoly = sympy.Poly(list(reversed(ints)), x, domain="QQ")
-    _, factors = spoly.factor_list()
+
+def _horner(c, x, m=0):
+    """c(x) for ascending integer coefficients, reduced mod m when m > 0."""
+    acc = 0
+    for ci in reversed(c):
+        acc = acc * x + ci
+        if m:
+            acc %= m
+    return acc
+
+
+def _squarefree_mod(c, p) -> bool:
+    """Whether gcd(c, c') = 1 over GF(p); c must not vanish mod p."""
+    a = [x % p for x in c]
+    b = [i * x % p for i, x in enumerate(c) if i]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            f = a[-1] * inv % p
+            s = len(a) - len(b)
+            for i, x in enumerate(b):
+                a[s + i] = (a[s + i] - f * x) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _rational_roots(psf):
+    """Roots of a squarefree rational polynomial in decreasing order, or None
+    if it does not split into linear factors over Q.
+
+    Exact p-adic root finding (Loos 1983).  With coprime integer coefficients
+    c of degree k and leading coefficient a > 0, q(y) = a^(k-1) c(y/a) is
+    monic with integer coefficients, so its rational roots are integers y
+    bounded by the Cauchy bound 1 + max|q_i|.  For the first prime p modulo
+    which q stays squarefree, q splits over Q only if it has k distinct roots
+    mod p; each is simple, so Hensel lifting determines the candidate integer
+    root modulo p^e > twice the bound, and an exact evaluation accepts it.
+    """
+    c, _ = linalg.clear_denominators(psf)
+    g = gcd(*c) if c[-1] > 0 else -gcd(*c)
+    c = [x // g for x in c]
+    k = len(c) - 1
+    a = c[-1]
+    q = [x * a ** (k - 1 - i) for i, x in enumerate(c[:-1])] + [1]
+    dq = [i * x for i, x in enumerate(q) if i]
+    p = next(p for p in _primes() if _squarefree_mod(q, p))
+    residues = [r for r in range(p) if not _horner(q, r, p)]
+    if len(residues) < k:
+        return None
+    bound = 2 * (1 + max((abs(x) for x in q[:-1]), default=0))
     roots = []
-    for fac, mult in factors:
-        assert mult == 1, "squarefree input cannot have repeated factors"
-        if fac.degree() != 1:
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(q, r, m) * pow(_horner(dq, r, m), -1, m)) % m
+        y = r - m if 2 * r > m else r
+        if _horner(q, y):
             return None
-        lead, const = (Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs())
-        roots.append(-const / lead)
+        roots.append(Fraction(y, a))
     return sorted(roots, reverse=True)
 
 
@@ -246,10 +304,12 @@ def rational_diagonalize(v: LinearVectorField):
         for b in linalg.nullspace(shifted):
             cols.append(b)
             weights.append(r)
-    assert len(weights) == n, "eigenspace dimensions must sum to the ambient dimension"
+    if len(weights) != n:
+        raise RuntimeError("eigenspace dimensions must sum to the ambient dimension")
     basis = linalg.transpose(tuple(cols))
     conjugated = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(a, basis))
-    assert conjugated == LinearVectorField.diagonal(weights).rows, "eigenbasis must diagonalize"
+    if conjugated != LinearVectorField.diagonal(weights).rows:
+        raise RuntimeError("eigenbasis must diagonalize")
     return WeightVector(tuple(weights)), basis
 
 
@@ -270,7 +330,8 @@ def exp_nilpotent_action(v: LinearVectorField, f: HPoly) -> tuple:
             break
         seq.append(HPoly(f.n_vars, {m: -c / k for m, c in g.terms.items()}))
         k += 1
-        assert k <= v.n * f.degree + 2, "nilpotent action failed to terminate"
+        if k > v.n * f.degree + 2:
+            raise RuntimeError("nilpotent action failed to terminate")
     return tuple(seq)
 
 
@@ -309,5 +370,6 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-    assert out, "invertible substitution cannot annihilate a nonzero polynomial"
+    if not out:
+        raise RuntimeError("invertible substitution cannot annihilate a nonzero polynomial")
     return HPoly(n, out)

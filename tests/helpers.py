@@ -5,11 +5,28 @@ written from scratch against the definitions, not by calling the package, so
 they can catch bugs in the library implementations.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
 from gitstab.poly import HPoly, parse_poly
 from gitstab.weights import WeightVector
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package importable from this checkout."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def hp(text: str, n_vars: int) -> HPoly:

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from gitstab.cli import main
+from helpers import run_python
 
 UNSTABLE_CUBIC = "z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3"
 FERMAT = "z0^3 + z1^3 + z2^3 + z3^3"
@@ -283,6 +284,47 @@ def test_lp_debug_prints_pivots(capsys, tmp_path):
     assert "status = optimal" in out
     assert "value = 14/5" in out
     assert "witness = (8/5, 6/5)" in out
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({}, "'objective' and 'constraints'"),
+        ({"objective": [1, 1]}, "'objective' and 'constraints'"),
+        ([[1, 1], []], "'objective' and 'constraints'"),
+        ({"objective": 1, "constraints": []}, "must be JSON arrays"),
+        ({"objective": [1, 1], "constraints": [[[1, 2], "<="]]}, "[row, rel, rhs] triple"),
+        ({"objective": [1, 1], "constraints": [[1, "<=", 4]]}, "[row, rel, rhs] triple"),
+        ({"objective": [1, None], "constraints": []}, "cannot interpret None"),
+    ],
+)
+def test_lp_debug_malformed_program_exits_two(capsys, tmp_path, spec, message):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "lp-debug", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+_CLI_WITHOUT_SYMPY = (
+    "import sys\n"
+    "from gitstab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.exit(99 if 'sympy' in sys.modules else code)\n"
+)
+
+
+def test_degenerate_field_imports_no_sympy():
+    def degenerate(field):
+        argv = ("degenerate", "-f", FERMAT, "--field", field, "--json")
+        return run_python("-c", _CLI_WITHOUT_SYMPY, *argv)
+
+    proc = degenerate("[[0,1,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]]")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["futaki"] == "8/3"
+    proc = degenerate("[[0,2,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]]")  # eigenvalues +-sqrt(2)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "irrational eigenvalues" in proc.stderr
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -17,7 +17,7 @@ from gitstab.stability import (
     verdicts_consistent,
 )
 from gitstab.weights import WeightVector, mu
-from helpers import hp, random_hpoly
+from helpers import hp, random_hpoly, run_python
 
 
 def test_fermat_cubic_stable():
@@ -167,3 +167,21 @@ def test_permutation_equivariance():
             else:
                 assert any(w > 0 for w in ws)
                 assert (vf.certificate_mu > 0) == (min(ws) > 0)
+
+
+def test_bogus_destabilizer_rejected_under_optimize():
+    # The checks must not be asserts: python -O would strip them.
+    script = (
+        "import sys\n"
+        "from gitstab.poly import parse_poly\n"
+        "from gitstab.stability import _validate_destabilizer\n"
+        "from gitstab.weights import WeightVector\n"
+        "f = parse_poly('z0^2+z1^2', 2)\n"
+        "try:\n"
+        "    _validate_destabilizer(f, WeightVector.parse('5,3'), expect_positive=False)\n"
+        "except RuntimeError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=1) == ["1", "destabilizer must be trace-zero\n"]

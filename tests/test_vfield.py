@@ -9,6 +9,8 @@ from gitstab import linalg
 from gitstab.poly import parse_poly, print_poly
 from gitstab.vfield import (
     LinearVectorField,
+    _rational_roots,
+    _squarefree_mod,
     apply_derivation,
     chevalley_split,
     exp_nilpotent_action,
@@ -155,6 +157,7 @@ def _random_interesting_matrix(rng: Random, n: int):
 
 
 def test_chevalley_postconditions_and_uniqueness():
+    pytest.importorskip("sympy")
     rng = Random(41)
     for _ in range(100):
         m = _random_interesting_matrix(rng, 4)
@@ -209,6 +212,76 @@ def test_rational_diagonalize_random_conjugates():
         assert sorted(weights, reverse=True) == sorted(map(Fraction, eigs), reverse=True)
         conj = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(m, basis))
         assert conj == LinearVectorField.diagonal(weights).rows
+
+
+def _from_roots(roots):
+    """Ascending coefficients of prod (x - r)."""
+    p = [Fraction(1)]
+    for r in roots:
+        p = [Fraction(0)] + p
+        for i in range(len(p) - 1):
+            p[i] -= r * p[i + 1]
+    return tuple(p)
+
+
+def test_rational_roots_split_golden():
+    F = Fraction
+    # 7x - 3 once denominators are cleared
+    assert _rational_roots(_from_roots([F(3, 7)])) == [F(3, 7)]
+    # -x + 2: a negative leading coefficient
+    assert _rational_roots((F(2), F(-1))) == [2]
+    assert _rational_roots(_from_roots([0, 1])) == [1, 0]
+    # 6x^2 + x - 2
+    assert _rational_roots(_from_roots([F(1, 2), F(-2, 3)])) == [F(1, 2), F(-2, 3)]
+    eight = [-4, -3, -1, 0, F(1, 2), 2, F(5, 3), 7]
+    assert _rational_roots(_from_roots(eight)) == sorted(map(F, eight), reverse=True)
+    big = [10**12 - 11, -(10**12) - 39, F(10**12 + 3, 7)]
+    assert _rational_roots(_from_roots(big)) == sorted(map(F, big), reverse=True)
+
+
+def test_rational_roots_non_split_golden():
+    F = Fraction
+    assert _rational_roots((F(1), F(0), F(1))) is None  # x^2 + 1
+    # x^2 - 7 is (x + 1)^2 mod 2 and (x - 1)(x + 1) mod 3, so both roots
+    # mod 3 are lifted and then fail the exact check.
+    x2m7 = (F(-7), F(0), F(1))
+    assert not _squarefree_mod([-7, 0, 1], 2) and _squarefree_mod([-7, 0, 1], 3)
+    assert _rational_roots(x2m7) is None
+    # a rational root next to an irreducible quadratic
+    assert _rational_roots((F(-2), F(1), F(-2), F(1))) is None  # (x - 2)(x^2 + 1)
+
+
+def test_rational_roots_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = Random(44)
+    verdicts = set()
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            roots = set()
+            while len(roots) < k:
+                big = rng.random() < 0.3
+                top = 10**12 if big else 12
+                roots.add(Fraction(rng.randint(-top, top), rng.randint(1, 10**6 if big else 5)))
+            p = _from_roots(roots)
+        else:
+            p = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(k))
+            p += (Fraction(1),)
+        psf = linalg.poly_squarefree_part(p)
+        ints, _ = linalg.clear_denominators(psf)
+        _, factors = sympy.Poly(list(reversed(ints)), x, domain="QQ").factor_list()
+        if all(fac.degree() == 1 for fac, _ in factors):
+            want = sorted(
+                (-Fraction(int(b.p), int(b.q)) / Fraction(int(a.p), int(a.q))
+                 for a, b in (fac.all_coeffs() for fac, _ in factors)),
+                reverse=True,
+            )
+        else:
+            want = None
+        assert _rational_roots(psf) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 def test_exp_nilpotent_golden():
