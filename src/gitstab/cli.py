@@ -18,7 +18,6 @@ import logging
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from random import Random
 
 from . import lp
@@ -260,6 +259,9 @@ def cmd_corpus(args) -> int:
             lines = fh.read().splitlines()
     lines = [l for l in lines if l.strip()]
     if args.workers > 1 and len(lines) > 1:
+        # imported here so that runs which never fork skip multiprocessing's import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_corpus_worker, lines, chunksize=8))
     else:
@@ -284,10 +286,7 @@ def _load_program(path) -> lp.LinearProgram:
     for c in constraints:
         if not (isinstance(c, list) and len(c) == 3 and isinstance(c[0], list)):
             raise ValueError(f"constraint {json.dumps(c)} is not a [row, rel, rhs] triple")
-    try:
-        return lp.LinearProgram.maximize(objective, constraints)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from None
+    return lp.LinearProgram.maximize(objective, constraints)
 
 
 def cmd_lp_debug(args) -> int:

@@ -44,6 +44,7 @@ from .vfield import (
     apply_derivation,
     chevalley_split,
     rational_diagonalize,
+    squarefree_charpoly,
     substitute_linear,
 )
 from .weights import WeightVector, mu, weight_spectrum
@@ -126,12 +127,13 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
         f_work = f
         basis = None
     else:
-        semi, nil = chevalley_split(v)
+        psf = squarefree_charpoly(v)
+        semi, nil = chevalley_split(v, psf)
         if not nil.is_zero and apply_derivation(nil, f) is not None:
             raise DegenerationError(
                 "the nilpotent part of the field acts nontrivially on the polynomial"
             )
-        diag = rational_diagonalize(semi)
+        diag = rational_diagonalize(semi, psf)
         if diag is None:
             raise DegenerationError(
                 "the semisimple part has irrational eigenvalues; "

@@ -19,14 +19,22 @@ from typing import Sequence
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction.
+
+    This is the one gate for user-supplied numbers: anything else (floats,
+    None, booleans, malformed strings, a zero denominator) raises ValueError
+    naming the value.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+        try:
+            return Fraction(x.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot interpret {x!r} as a rational number")
 
 
 def vec(values) -> tuple:
@@ -148,21 +156,30 @@ def mat_inv(a):
 def charpoly(a):
     """Characteristic polynomial via the Faddeev-LeVerrier recurrence.
 
-    Returns ascending coefficients (c0, ..., c_{n-1}, 1) of det(xI - A),
-    computed entirely in exact rational arithmetic.
+    Returns ascending coefficients (c0, ..., c_{n-1}, 1) of det(xI - A).  The
+    recurrence runs fraction-free on the integer matrix B = D*A, with D the
+    lcm of the denominators of A: every M_k stays an integer matrix and each
+    division of a trace by k is exact (Bareiss 1968), so only the final
+    c_i = b_i / D^(n-i) touches Fractions.
     """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = a
-    c = -trace(a)
-    if n >= 1:
-        coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        m = mat_mul(a, mat_add(m, mat_scale(identity(n), c)))
-        c = -trace(m) / k
+    den = lcm(*(x.denominator for r in a for x in r))
+    b = [[x.numerator * (den // x.denominator) for x in r] for r in a]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = b
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [row[:] for row in m]
+            for i in range(n):
+                shifted[i][i] += coeffs[n - k + 1]
+            cols = tuple(zip(*shifted))
+            m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:
+            raise RuntimeError("Faddeev-LeVerrier trace must divide exactly over the integers")
         coeffs[n - k] = c
-    return tuple(coeffs)
+    return tuple(Fraction(c, den ** (n - i)) for i, c in enumerate(coeffs))
 
 
 # -- univariate polynomial helpers (ascending coefficient tuples) --

@@ -60,7 +60,8 @@ class HPoly:
         clean = {}
         degree = None
         for mono, coeff in terms.items():
-            mono = tuple(int(e) for e in mono)
+            if not (type(mono) is tuple and all(type(e) is int for e in mono)):
+                mono = tuple(int(e) for e in mono)
             if len(mono) != n_vars:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {n_vars}")
             if any(e < 0 for e in mono):

@@ -170,21 +170,28 @@ def invariance(v: LinearVectorField, f: HPoly) -> InvarianceResult:
     return InvarianceResult(True, kappa)
 
 
-def chevalley_split(v: LinearVectorField) -> tuple:
+def squarefree_charpoly(v: LinearVectorField) -> tuple:
+    """The squarefree part p* of the characteristic polynomial of v."""
+    return linalg.poly_squarefree_part(linalg.charpoly(v.rows))
+
+
+def chevalley_split(v: LinearVectorField, psf: tuple | None = None) -> tuple:
     """Additive decomposition v = s + n over the rationals.
 
     s is semisimple (its minimal polynomial is squarefree), n is nilpotent,
     and the two commute; both are polynomials in v, which is what the Newton
     iteration below computes.  Let p* be the squarefree part of the
-    characteristic polynomial.  Starting from v itself, the update
-    x <- x - p*(x) * p*'(x)^{-1} stays inside the commutative algebra Q[v]
-    and converges quadratically to the unique root of p* congruent to v
-    modulo nilpotents.  Everything is exact, so convergence is detected by
-    p*(x) vanishing identically.
+    characteristic polynomial (pass it as psf when it is already known).
+    Starting from v itself, the update x <- x - p*(x) * p*'(x)^{-1} stays
+    inside the commutative algebra Q[v] and converges quadratically to the
+    unique root of p* congruent to v modulo nilpotents.  Everything is exact,
+    so convergence is detected by p*(x) vanishing identically; when p*(v) = 0
+    already, v is semisimple and the nilpotent part is zero.  s and v have
+    the same characteristic polynomial, so p* is also that of s.
     """
     a = v.rows
-    p = linalg.charpoly(a)
-    psf = linalg.poly_squarefree_part(p)
+    if psf is None:
+        psf = squarefree_charpoly(v)
     dpsf = linalg.poly_derivative(psf)
     s = a
     for _ in range(_NEWTON_CAP):
@@ -195,6 +202,8 @@ def chevalley_split(v: LinearVectorField) -> tuple:
         s = linalg.mat_sub(s, linalg.mat_mul(e, linalg.mat_inv(d)))
     else:
         raise RuntimeError("Newton iteration for the semisimple part did not converge")
+    if s is a:
+        return v, LinearVectorField.zero(v.n)
     n = linalg.mat_sub(a, s)
     semi = LinearVectorField(s)
     nil = LinearVectorField(n)
@@ -202,8 +211,6 @@ def chevalley_split(v: LinearVectorField) -> tuple:
         raise RuntimeError("parts must commute")
     if not nil.is_nilpotent():
         raise RuntimeError("nilpotent part must be nilpotent")
-    if not linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, s)):
-        raise RuntimeError("semisimple part must kill the squarefree characteristic factor")
     return semi, nil
 
 
@@ -281,19 +288,25 @@ def _rational_roots(psf):
     return sorted(roots, reverse=True)
 
 
-def rational_diagonalize(v: LinearVectorField):
+def rational_diagonalize(v: LinearVectorField, psf: tuple | None = None):
     """Diagonalize a semisimple field over Q, if its eigenvalues are rational.
 
     Returns (weights, basis_matrix) with basis_matrix columns an eigenbasis
     ordered by decreasing eigenvalue, or None when the characteristic
     polynomial has an irrational factor (the field is then unsupported here,
     not an error).  Raises ValueError when v is not semisimple.
+
+    A caller that already holds the squarefree characteristic factor psf and
+    knows psf(v) = 0 (the semisimple part from chevalley_split) passes it to
+    skip recomputing and re-testing it; the eigenspace-dimension and
+    conjugation checks below certify the returned basis either way.
     """
     a = v.rows
     n = v.n
-    psf = linalg.poly_squarefree_part(linalg.charpoly(a))
-    if not linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, a)):
-        raise ValueError("field is not semisimple; split off the nilpotent part first")
+    if psf is None:
+        psf = squarefree_charpoly(v)
+        if not linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, a)):
+            raise ValueError("field is not semisimple; split off the nilpotent part first")
     roots = _rational_roots(psf)
     if roots is None:
         return None

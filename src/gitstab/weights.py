@@ -39,7 +39,7 @@ class WeightVector:
             raise ValueError(f"malformed weight list {text!r}")
         try:
             return cls.from_values(parts)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"malformed weight list {text!r}: {exc}") from None
 
     def __len__(self) -> int:

@@ -327,6 +327,36 @@ def test_degenerate_field_imports_no_sympy():
     assert proc.stderr.startswith("error:") and "irrational eigenvalues" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("null", "None"), ("0.5", "0.5"), ('"1/0"', "'1/0'"), ("true", "True")],
+)
+def test_malformed_matrix_entries_exit_two(capsys, tmp_path, entry, shown):
+    message = f"cannot interpret {shown} as a rational number"
+    field = f"[[1,{entry}],[0,1]]"
+    code, out, err = run(capsys, "degenerate", "-f", "z0^3 + z1^3", "--field", field)
+    assert code == 2 and out == "" and err.startswith("error:") and message in err
+    basis = f"[[{entry},0],[0,1]]"
+    code, out, err = run(capsys, "stability", "-f", "z0^2 + z1^2", "--basis", basis)
+    assert code == 2 and out == "" and err.startswith("error:") and message in err
+    path = tmp_path / "program.json"
+    path.write_text(f'{{"objective": [1, {entry}], "constraints": []}}')
+    code, out, err = run(capsys, "lp-debug", str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and message in err
+
+
+def test_stability_run_imports_no_multiprocessing():
+    script = (
+        "import sys\n"
+        "from gitstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.exit(98 if 'multiprocessing' in sys.modules else code)\n"
+    )
+    proc = run_python("-c", script, "stability", "-f", FERMAT, "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["class"] == "stable"
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -82,3 +82,53 @@ def test_primitive_integer_vector():
 def test_clear_denominators():
     ints, mult = linalg.clear_denominators([Fraction(1, 2), Fraction(2, 3)])
     assert mult == 6 and ints == [3, 4]
+
+
+def _charpoly_fraction_reference(a):
+    """Faddeev-LeVerrier over Fractions, written independently of linalg."""
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [row[:] for row in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            c = coeffs[n - k + 1]
+            shifted = [[m[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+            m = [
+                [sum(a[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        coeffs[n - k] = -sum(m[i][i] for i in range(n)) / k
+    return tuple(coeffs)
+
+
+def test_charpoly_matches_fraction_reference():
+    rng = Random(2024)
+    for case in range(300):
+        n = rng.randint(1, 8)
+        if case % 3 == 0:  # integer entries only
+            a = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        else:
+            a = tuple(
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
+                for _ in range(n)
+            )
+        got = linalg.charpoly(a)
+        assert got == _charpoly_fraction_reference(a)
+        assert all(type(c) is Fraction for c in got)
+    for n in range(1, 9):
+        zero = linalg.zero_matrix(n)
+        assert linalg.charpoly(zero) == _charpoly_fraction_reference(zero)
+        assert linalg.charpoly(zero) == (Fraction(0),) * n + (Fraction(1),)
+
+
+@pytest.mark.parametrize("bad", [None, True, False, 0.5, "1/0", "z", "", [1], (1, 2)])
+def test_frac_rejects_non_rationals_with_value_error(bad):
+    with pytest.raises(ValueError, match="cannot interpret"):
+        linalg.frac(bad)
+
+
+def test_frac_accepts_ints_fractions_and_rational_strings():
+    assert linalg.frac(3) == 3 and type(linalg.frac(3)) is Fraction
+    assert linalg.frac(Fraction(2, 3)) == Fraction(2, 3)
+    assert linalg.frac(" -4/6 ") == Fraction(-2, 3)

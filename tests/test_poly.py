@@ -149,3 +149,16 @@ def test_support_and_euler():
     f = parse_poly("z0*z1^2 + z2^3", 3)
     assert support(f) == {(1, 2, 0), (0, 0, 3)}
     assert euler_check(f) == 3
+
+
+def test_constructor_keeps_integer_tuple_keys():
+    mono = (2, 1, 0)
+    f = HPoly(3, {mono: 1})
+    assert next(iter(f.terms)) is mono
+    # other key shapes are still normalized to tuples of ints
+    g = HPoly(3, {(Fraction(2), 1, 0): 1})
+    assert list(g.terms) == [(2, 1, 0)] and all(type(e) is int for e in next(iter(g.terms)))
+    with pytest.raises(ValueError):
+        HPoly(3, {(3, -1, 1): 1})
+    with pytest.raises(ValueError):
+        HPoly(3, {(2, 1): 1})

@@ -198,6 +198,63 @@ def test_rational_diagonalize_rejects_non_semisimple():
         rational_diagonalize(LinearVectorField.from_rows([[1, 1], [0, 1]]))
 
 
+def test_chevalley_semisimple_field_has_zero_nilpotent_part():
+    v = LinearVectorField.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
+    s, nil = chevalley_split(v)
+    assert s == v and nil.is_zero and nil.n == 3
+
+
+def test_chevalley_and_diagonalize_accept_a_known_squarefree_factor():
+    rng = Random(43)
+    for _ in range(60):
+        v = LinearVectorField(_random_interesting_matrix(rng, rng.randint(2, 4)))
+        psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))
+        s, nil = chevalley_split(v)
+        assert chevalley_split(v, psf) == (s, nil)
+        assert (s + nil).rows == v.rows and nil.is_nilpotent()
+        assert linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, s.rows))
+        assert rational_diagonalize(s, psf) == rational_diagonalize(s)
+
+
+def test_rational_diagonalize_certifies_a_caller_supplied_factor():
+    jordan = LinearVectorField.from_rows([[1, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        rational_diagonalize(jordan)
+    # x - 1 does kill the semisimple part, not this field: the eigenspace
+    # check still refuses to return a basis
+    with pytest.raises(RuntimeError):
+        rational_diagonalize(jordan, (Fraction(-1), Fraction(1)))
+
+
+def test_build_degeneration_computes_one_charpoly_per_field(monkeypatch):
+    from gitstab import degeneration
+
+    calls = []
+    charpoly = linalg.charpoly
+
+    def counting(a):
+        calls.append(a)
+        return charpoly(a)
+
+    monkeypatch.setattr(linalg, "charpoly", counting)
+    fermat = parse_poly("z0^3 + z1^3 + z2^3 + z3^3", 4)
+    swap = LinearVectorField.from_rows(
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    )
+    report = degeneration.build_degeneration(fermat, swap)
+    assert report.basis_change is not None and len(calls) == 1
+    calls.clear()
+    jordan = LinearVectorField.from_rows(
+        [[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]
+    )
+    with pytest.raises(degeneration.DegenerationError, match="nilpotent"):
+        degeneration.build_degeneration(parse_poly("z0*z1^2 + z2^2*z3", 4), jordan)
+    assert len(calls) == 1
+    calls.clear()
+    degeneration.build_degeneration(fermat, LinearVectorField.diagonal([1, 0, 0, -1]))
+    assert calls == []
+
+
 def test_rational_diagonalize_random_conjugates():
     rng = Random(42)
     for _ in range(60):
