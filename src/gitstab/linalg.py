@@ -5,6 +5,12 @@ deterministic; there are no tolerances anywhere.  Matrices are small (the
 ambient dimension is the number of coordinates, rarely above 8), so the
 quadratic and cubic algorithms below are perfectly adequate.
 
+Gauss-Jordan elimination (`rref`, and through it `nullspace` and `mat_inv`;
+the simplex in `lp` pivots with the same step) goes through `eliminate`,
+which touches only the pivot row's nonzero entries and only the rows with a
+nonzero entry in the pivot column.  Exact arithmetic makes that a pure saving:
+every value, and the order of pivots, is that of the dense loop.
+
 Matrices are represented as tuples of row tuples, vectors as tuples.  The
 module also carries the little univariate polynomial arithmetic needed for
 characteristic polynomials; coefficient sequences are ascending, so p[i] is
@@ -93,8 +99,37 @@ def is_zero_matrix(a) -> bool:
     return all(not x for r in a for x in r)
 
 
+def eliminate(rows, pr: int, c: int) -> None:
+    """One exact Gauss-Jordan step, in place, on the pivot rows[pr][c].
+
+    The pivot row is divided by its pivot (skipped when the pivot is 1), then
+    f * (pivot row) is subtracted from every other row whose column-c entry f
+    is nonzero.  Only the pivot row's nonzero positions are touched: a zero
+    entry stays as it is, and the rows with f = 0 are not visited at all, so
+    the result is entry for entry the one of the dense step.  Rows are lists
+    that are updated in place; rows may be any list holding them (a tableau
+    plus its cost row, say).
+    """
+    prow = rows[pr]
+    pv = prow[c]
+    if pv != 1:
+        for j, x in enumerate(prow):
+            if x:
+                prow[j] = x / pv
+    nz = [(j, y) for j, y in enumerate(prow) if y]
+    for row in rows:
+        f = row[c]
+        if f and row is not prow:
+            for j, y in nz:
+                row[j] -= f * y
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    This is the one place entries are coerced (through `frac`, so malformed
+    entries raise ValueError); each pivot is one `eliminate` step.
+    """
     m = [list(map(frac, r)) for r in rows]
     if not m:
         return [], []
@@ -106,12 +141,7 @@ def rref(rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        eliminate(m, r, c)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -125,7 +155,7 @@ def nullspace(rows, n_cols: int | None = None):
     Each basis vector carries a 1 in one free column; vectors are ordered by
     increasing free column index.
     """
-    rows = [tuple(map(frac, r)) for r in rows]
+    rows = list(rows)
     if rows:
         n_cols = len(rows[0])
     if n_cols is None:
@@ -146,7 +176,7 @@ def nullspace(rows, n_cols: int | None = None):
 
 def mat_inv(a):
     n = len(a)
-    aug = [list(map(frac, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

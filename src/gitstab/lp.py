@@ -7,6 +7,14 @@ index rule makes the pivot sequence, and therefore the reported witness,
 deterministic; it also rules out cycling, so termination needs no tolerance
 or iteration cap.
 
+Pivots are `linalg.eliminate` steps on the tableau plus its cost row: only
+the pivot row's nonzero entries are touched, and only in rows with a nonzero
+entry in the entering column.  The cone programs of `stability` are sparse
+and fully degenerate (every right-hand side but the cap is 0, and the ratio
+test divides no zero), so this skips most of the Fraction arithmetic while
+every value, witness, pivot and `pivot_log` snapshot stays what the dense
+tableau gives.
+
 Every answer is re-verified by substitution before it is returned: optimal
 witnesses must satisfy all constraints exactly, unbounded rays must lie in
 the recession cone and strictly improve the objective.  A verification
@@ -64,17 +72,7 @@ class LPOutcome:
 
 
 def _pivot(tab, crow, basis, pr, e):
-    prow = tab[pr]
-    pv = prow[e]
-    prow = [x / pv for x in prow]
-    tab[pr] = prow
-    for r in range(len(tab)):
-        if r != pr and tab[r][e]:
-            f = tab[r][e]
-            tab[r] = [x - f * y for x, y in zip(tab[r], prow)]
-    if crow[e]:
-        f = crow[e]
-        crow[:] = [x - f * y for x, y in zip(crow, prow)]
+    linalg.eliminate(tab + [crow], pr, e)
     basis[pr] = e
 
 
@@ -94,7 +92,8 @@ def _iterate(tab, basis, crow, n_enterable, pivot_log=None, phase=0):
         for r in range(len(tab)):
             a = tab[r][e]
             if a > 0:
-                ratio = tab[r][-1] / a
+                rhs = tab[r][-1]
+                ratio = rhs / a if rhs else rhs
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[pr]):
                     best = ratio
                     pr = r
@@ -114,12 +113,15 @@ def _iterate(tab, basis, crow, n_enterable, pivot_log=None, phase=0):
 
 
 def _canonical_cost(cost, tab, basis):
-    """Reduce a cost vector against the current basis; last slot is -value."""
+    """Reduce a cost vector against the current basis; last slot is -value.
+
+    Each basic column holds a 1 in its row, so each reduction is one
+    `eliminate` step on that row that touches the cost row alone.
+    """
     crow = list(cost) + [Fraction(0)]
     for r, bcol in enumerate(basis):
-        c = crow[bcol]
-        if c:
-            crow = [x - c * y for x, y in zip(crow, tab[r])]
+        if crow[bcol]:
+            linalg.eliminate([tab[r], crow], 0, bcol)
     return crow
 
 
@@ -242,4 +244,4 @@ def _verify_ray(program: LinearProgram, d):
 
 def kernel(rows, n_cols: int | None = None):
     """Deterministic rational basis of {x : row . x = 0 for all rows}."""
-    return linalg.nullspace([tuple(frac(x) for x in r) for r in rows], n_cols)
+    return linalg.nullspace(rows, n_cols)

@@ -262,6 +262,9 @@ def _rational_roots(psf):
     which q stays squarefree, q splits over Q only if it has k distinct roots
     mod p; each is simple, so Hensel lifting determines the candidate integer
     root modulo p^e > twice the bound, and an exact evaluation accepts it.
+    Such a prime exists because only the finitely many primes dividing the
+    discriminant fail; when the first prime fails, gcd(q, q') over Q is
+    checked once and a polynomial that is not squarefree raises ValueError.
     """
     c, _ = linalg.clear_denominators(psf)
     g = gcd(*c) if c[-1] > 0 else -gcd(*c)
@@ -270,7 +273,13 @@ def _rational_roots(psf):
     a = c[-1]
     q = [x * a ** (k - 1 - i) for i, x in enumerate(c[:-1])] + [1]
     dq = [i * x for i, x in enumerate(q) if i]
-    p = next(p for p in _primes() if _squarefree_mod(q, p))
+    primes = _primes()
+    p = next(primes)
+    if not _squarefree_mod(q, p):
+        qf = [Fraction(x) for x in q]
+        if len(linalg.poly_gcd(qf, linalg.poly_derivative(qf))) > 1:
+            raise ValueError("polynomial is not squarefree")
+        p = next(p for p in primes if _squarefree_mod(q, p))
     residues = [r for r in range(p) if not _horner(q, r, p)]
     if len(residues) < k:
         return None

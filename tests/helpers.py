@@ -18,14 +18,18 @@ from gitstab.weights import WeightVector
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with the package importable from this checkout."""
+def run_python(*args, timeout=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package importable from this checkout.
+
+    With a timeout (seconds), an interpreter still running then is killed and
+    subprocess.TimeoutExpired raised."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
 

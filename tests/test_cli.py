@@ -286,6 +286,26 @@ def test_lp_debug_prints_pivots(capsys, tmp_path):
     assert "witness = (8/5, 6/5)" in out
 
 
+def test_lp_debug_pins_the_worked_cubic_pivot_trace(capsys, tmp_path):
+    # The capped cone program classify_torus solves for the worked cubic:
+    # trace zero, every support weight >= 0, total weight <= 1.  The expected
+    # text is the trace of the dense Fraction tableau, so any change to the
+    # pivot order or to a single tableau entry shows here.
+    total = [1, 3, 4, 4]
+    support = [[1, 2, 0, 0], [0, 1, 1, 1], [0, 0, 2, 1], [0, 0, 1, 2]]
+    constraints = [[[1, 1, 1, 1], "=", 0]] + [[g, ">=", 0] for g in support]
+    path = tmp_path / "cone.json"
+    path.write_text(
+        json.dumps({"objective": total, "constraints": constraints + [[total, "<=", 1]]})
+    )
+    expected = os.path.join(os.path.dirname(__file__), "data", "lp_debug_worked_cubic.txt")
+    with open(expected) as fh:
+        want = fh.read()
+    code, out, err = run(capsys, "lp-debug", str(path))
+    assert code == 0 and err == ""
+    assert out == want
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

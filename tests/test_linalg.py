@@ -132,3 +132,108 @@ def test_frac_accepts_ints_fractions_and_rational_strings():
     assert linalg.frac(3) == 3 and type(linalg.frac(3)) is Fraction
     assert linalg.frac(Fraction(2, 3)) == Fraction(2, 3)
     assert linalg.frac(" -4/6 ") == Fraction(-2, 3)
+
+
+# -- differential check against dense Gauss-Jordan elimination --------------
+
+
+def _dense_rref(rows):
+    """Gauss-Jordan with every pivot rewriting every entry of every row that
+    has a nonzero in the pivot column: the reference for `linalg.eliminate`."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m], pivots
+
+
+def _dense_nullspace(rows):
+    red, pivots = _dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(0)] * len(rows[0])
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _dense_inverse(a):
+    n = len(a)
+    red, pivots = _dense_rref([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)])
+    return tuple(tuple(red[i][n:]) for i in range(n)) if pivots == list(range(n)) else None
+
+
+def _differential_matrix(rng: Random, case: int):
+    """Seeded rational matrices: square ones (some singular) on even cases,
+    1 x k and k x 1 shapes, zero columns and rank-deficient rows made as
+    rational combinations of earlier rows."""
+    if case % 2 == 0:
+        n_rows = n_cols = rng.randint(1, 6)
+    elif case % 10 == 1:
+        n_rows, n_cols = 1, rng.randint(1, 7)
+    elif case % 10 == 3:
+        n_rows, n_cols = rng.randint(1, 7), 1
+    else:
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+    den = rng.choice([1, 1, 5])
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, den)) if rng.random() < 0.8 else 0
+
+    zero_cols = {c for c in range(n_cols) if case % 3 == 0 and rng.random() < 0.3}
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.2:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = entry(), entry()
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([0 if c in zero_cols else entry() for c in range(n_cols)])
+    return rows
+
+
+def test_sparse_elimination_matches_dense_reference():
+    rng = Random(2026)
+    shapes, deficient, singular, inverted = set(), 0, 0, 0
+    for case in range(400):
+        rows = _differential_matrix(rng, case)
+        red, pivots = linalg.rref(rows)
+        assert (red, pivots) == _dense_rref(rows)
+        assert all(type(x) is Fraction for r in red for x in r)
+        assert linalg.nullspace(rows) == _dense_nullspace(rows)
+        deficient += len(pivots) < min(len(rows), len(rows[0]))
+        shapes.add((len(rows) == 1, len(rows[0]) == 1))
+        if len(rows) == len(rows[0]):
+            want = _dense_inverse(rows)
+            if want is None:
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    linalg.mat_inv(rows)
+            else:
+                inverted += 1
+                assert linalg.mat_inv(rows) == want
+    assert shapes == {(True, False), (False, True), (False, False), (True, True)}
+    assert deficient >= 60 and singular >= 30 and inverted >= 60
+
+
+def test_elimination_coerces_through_frac_once():
+    for bad in (None, 0.5, "x"):
+        for call in (linalg.rref, linalg.nullspace, linalg.mat_inv):
+            with pytest.raises(ValueError, match="cannot interpret"):
+                call([[1, bad], [0, 1]])

@@ -179,3 +179,167 @@ def test_determinism():
     for _ in range(40):
         prog = _random_program(rng)
         assert solve(prog) == solve(prog)
+
+
+# -- differential check against the dense Fraction simplex -------------------
+
+
+def _dense_solve(program, pivot_log):
+    """The two-phase Bland simplex with a dense Fraction tableau: every pivot
+    rewrites every entry of every row with a nonzero in the entering column.
+    It is the reference the sparse `linalg.eliminate` pivots must reproduce
+    entry for entry, so it shares no code with `lp.solve`.  Returns
+    (status, value, witness, number of artificials driven out)."""
+    Z = Fraction(0)
+    n = program.n_vars
+    flip = {LE: GE, GE: LE, EQ: EQ}
+    cons = [
+        (tuple(-x for x in row), -rhs, flip[rel]) if rhs < 0 else (row, rhs, rel)
+        for row, rel, rhs in program.constraints
+    ]
+    n_slack = sum(rel != EQ for _, _, rel in cons)
+    n_art = sum(rel != LE for _, _, rel in cons)
+    width = 2 * n + n_slack
+    total = width + n_art
+    tab, basis, art = [], [], []
+    si, ai = 2 * n, width
+    for row, rhs, rel in cons:
+        line = [Z] * (total + 1)
+        for j, x in enumerate(row):
+            if x:
+                line[j], line[n + j] = x, -x
+        line[-1] = rhs
+        if rel != EQ:
+            line[si] = Fraction(1 if rel == LE else -1)
+            si += 1
+        if rel == LE:
+            basis.append(si - 1)
+        else:
+            line[ai] = Fraction(1)
+            basis.append(ai)
+            art.append(ai)
+            ai += 1
+        tab.append(line)
+
+    def pivot(crow, pr, e):
+        pv = tab[pr][e]
+        tab[pr] = [x / pv for x in tab[pr]]
+        for r in range(len(tab)):
+            if r != pr and tab[r][e]:
+                f = tab[r][e]
+                tab[r] = [x - f * y for x, y in zip(tab[r], tab[pr])]
+        if crow[e]:
+            f = crow[e]
+            crow[:] = [x - f * y for x, y in zip(crow, tab[pr])]
+        basis[pr] = e
+
+    def canonical(cost):
+        crow = list(cost) + [Z]
+        for r, b in enumerate(basis):
+            if crow[b]:
+                c = crow[b]
+                crow = [x - c * y for x, y in zip(crow, tab[r])]
+        return crow
+
+    def iterate(crow, enterable, phase):
+        while True:
+            e = next((j for j in range(enterable) if crow[j] > 0), None)
+            if e is None:
+                return None
+            pr = None
+            for r in range(len(tab)):
+                if tab[r][e] > 0:
+                    ratio = tab[r][-1] / tab[r][e]
+                    if pr is None or ratio < best or (ratio == best and basis[r] < basis[pr]):
+                        best, pr = ratio, r
+            if pr is None:
+                return e
+            pivot_log.append(
+                {
+                    "phase": phase,
+                    "entering": e,
+                    "leaving": basis[pr],
+                    "tableau": [[str(x) for x in row] for row in tab],
+                    "reduced_costs": [str(x) for x in crow],
+                }
+            )
+            pivot(crow, pr, e)
+
+    driven = 0
+    if art:
+        crow = canonical([Fraction(-1) if j in art else Z for j in range(total)])
+        if iterate(crow, total, 1) is not None:
+            raise AssertionError("phase one is bounded")
+        if crow[-1] > 0:
+            return lp.INFEASIBLE, None, None, driven
+        for r in [r for r in range(len(tab)) if basis[r] in art]:
+            j = next((j for j in range(width) if tab[r][j]), None)
+            if j is not None:
+                pivot(crow, r, j)
+                driven += 1
+        keep = [r for r in range(len(tab)) if basis[r] not in art]
+        tab[:] = [tab[r] for r in keep]
+        basis[:] = [basis[r] for r in keep]
+
+    obj = list(program.objective)
+    crow = canonical(obj + [-c for c in obj] + [Z] * (n_slack + n_art))
+    e = iterate(crow, width, 2)
+    point = [Z] * total
+    if e is not None:
+        point[e] = Fraction(1)
+    for r, b in enumerate(basis):
+        point[b] = -tab[r][e] if e is not None else tab[r][-1]
+    x = tuple(point[i] - point[n + i] for i in range(n))
+    if e is not None:
+        return lp.UNBOUNDED, None, x, driven
+    return lp.OPTIMAL, sum((c * v for c, v in zip(obj, x)), Z), x, driven
+
+
+def _differential_program(rng: Random, case: int):
+    """Seeded programs covering every status and the artificial drive-out:
+    mixed relations, zero and nonzero right-hand sides, rational entries,
+    redundant equalities (rational combinations of earlier rows), and the
+    capped cone shape of `stability.classify_torus`."""
+    if case % 4 == 3:
+        n = rng.randint(2, 5)
+        gammas = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7))}
+        gammas = sorted(gammas, reverse=True)
+        total = [sum(g[i] for g in gammas) for i in range(n)]
+        cons = [([1] * n, EQ, 0)] + [(g, GE, 0) for g in gammas] + [(total, LE, 1)]
+        return _program(total, cons)
+    n = rng.randint(1, 5)
+    den = 1 if case % 2 else 3
+
+    def entry(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+
+    obj = [entry(4) for _ in range(n)]
+    cons = []
+    for _ in range(rng.randint(1, 6)):
+        row = [entry(4) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+        rhs = entry(6) if rng.random() < 0.6 else Fraction(0)
+        cons.append((row, rng.choice([LE, GE, EQ]), rhs))
+    if rng.random() < 0.4:
+        a, b = rng.choice(cons), rng.choice(cons)
+        s, t = entry(3), entry(3)
+        row = [s * x + t * y for x, y in zip(a[0], b[0])]
+        rhs = s * a[2] + t * b[2]
+        cons.insert(rng.randint(0, len(cons)), (row, EQ, rhs))
+    return _program(obj, cons)
+
+
+def test_sparse_pivots_match_dense_simplex():
+    rng = Random(2025)
+    statuses = {}
+    driven_out = 0
+    for case in range(400):
+        prog = _differential_program(rng, case)
+        got_log, want_log = [], []
+        got = solve(prog, pivot_log=got_log)
+        *want, driven = _dense_solve(prog, want_log)
+        assert (got.status, got.value, got.witness) == tuple(want)
+        assert got_log == want_log
+        statuses[got.status] = statuses.get(got.status, 0) + 1
+        driven_out += driven
+    assert min(statuses.get(s, 0) for s in (lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED)) >= 30
+    assert driven_out >= 30, "redundant equalities should leave artificials to drive out"

@@ -27,6 +27,7 @@ from helpers import (
     random_invertible,
     random_matrix,
     random_weights,
+    run_python,
 )
 
 
@@ -294,6 +295,32 @@ def test_rational_roots_split_golden():
     assert _rational_roots(_from_roots(eight)) == sorted(map(F, eight), reverse=True)
     big = [10**12 - 11, -(10**12) - 39, F(10**12 + 3, 7)]
     assert _rational_roots(_from_roots(big)) == sorted(map(F, big), reverse=True)
+
+
+_NOT_SQUAREFREE = """\
+from gitstab import linalg
+from gitstab.vfield import LinearVectorField, _rational_roots, rational_diagonalize
+
+calls = [
+    lambda: _rational_roots((1, -2, 1)),  # (x - 1)^2
+    lambda: _rational_roots((0, 0, 1, 1)),  # x^2 (x + 1)
+    lambda: rational_diagonalize(LinearVectorField(linalg.identity(2)), psf=(1, -2, 1)),
+]
+for call in calls:
+    try:
+        call()
+    except ValueError as exc:
+        print("ValueError:", exc)
+"""
+
+
+def test_rational_roots_refuses_a_non_squarefree_polynomial_in_bounded_time():
+    # No prime keeps a repeated factor squarefree, so without the check over
+    # Q the search for a good prime never ends; a fresh interpreter with a
+    # timeout turns such a hang into a failure.
+    proc = run_python("-c", _NOT_SQUAREFREE, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError: polynomial is not squarefree"] * 3
 
 
 def test_rational_roots_non_split_golden():
