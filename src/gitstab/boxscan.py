@@ -9,12 +9,11 @@ kernel, which walks it; the crosscheck walks the same enumerator.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 from ._boxscan_py import iter_trace_zero_box, scan_box_py  # noqa: F401
+from .lazylog import LazyLogger
+from .record import record
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 try:
     from ._boxscan import scan_box_c
@@ -27,7 +26,7 @@ HAVE_COMPILED = scan_box_c is not None
 MAX_CANDIDATES = 10**8
 
 
-@dataclass(frozen=True)
+@record
 class BoxScanResult:
     scanned: int
     strict: tuple | None  # first vector with all support weights positive

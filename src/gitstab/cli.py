@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import re
 import sys
@@ -23,13 +22,12 @@ from random import Random
 from . import lp
 from .degeneration import build_degeneration, from_destabilizer, theorem_crosscheck
 from .futaki import futaki_of_limit
+from .lazylog import configure_on_first_use
 from .linalg import frac, mat_inv
 from .poly import HPoly, PolyParseError, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, STABLE, classify_torus
 from .vfield import parse_field, substitute_linear
 from .weights import WeightVector, mu, weight_spectrum, limit_poly
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -247,7 +245,9 @@ def _corpus_worker(line: str) -> str:
         row = json.loads(line)
         f = parse_poly(row["f"], int(row["n_vars"]))
         return json.dumps(classify_torus(f).to_json())
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RuntimeError) as exc:
+        # A RuntimeError is an internal check failing on this line; it stays
+        # this line's error instead of aborting the run.
         return json.dumps({"error": str(exc), "line": line})
 
 
@@ -373,13 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
+def _configure_logging():
+    import logging
+
     level = os.environ.get("GITSTAB_LOG", "").upper()
     logging.basicConfig(
         level=getattr(logging, level, logging.WARNING),
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+def main(argv=None) -> int:
+    # With GITSTAB_LOG unset only a WARNING can print, so `logging` is set up
+    # when the first record reaches it; a caller who imported it already may
+    # expect its records now.
+    if os.environ.get("GITSTAB_LOG") or "logging" in sys.modules:
+        _configure_logging()
+    else:
+        configure_on_first_use(_configure_logging)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -31,14 +31,14 @@ with the integer prediction raises RuntimeError.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import boxscan, poly, stability
 from .futaki import FutakiValue, check_fano_range, futaki_from_kappa, futaki_of_limit
+from .lazylog import LazyLogger
 from .poly import HPoly
+from .record import record
 from .vfield import (
     LinearVectorField,
     apply_derivation,
@@ -49,14 +49,14 @@ from .vfield import (
 )
 from .weights import WeightVector, mu, weight_spectrum
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 
 class DegenerationError(ValueError):
     """The field cannot degenerate f within this representation."""
 
 
-@dataclass(frozen=True)
+@record
 class DegenerationFamily:
     """G(s) = sum over strata of s^exponent * stratum, with G(1) = base_poly."""
 
@@ -83,7 +83,7 @@ class DegenerationFamily:
         return len(self.strata) == 1
 
 
-@dataclass(frozen=True)
+@record
 class DegenerationReport:
     family: DegenerationFamily
     special_fiber: HPoly
@@ -194,7 +194,7 @@ def from_destabilizer(f: HPoly, lmbda: WeightVector) -> DegenerationReport:
     return build_degeneration(f, LinearVectorField.diagonal(gen.values))
 
 
-@dataclass(frozen=True)
+@record
 class CrosscheckViolation:
     generator: tuple  # integer trace-zero lambda
     futaki: Fraction
@@ -202,7 +202,7 @@ class CrosscheckViolation:
     kind: str  # negative_futaki | zero_futaki_nontrivial | trivial_positive_futaki
 
 
-@dataclass(frozen=True)
+@record
 class CrosscheckReport:
     verdict: stability.StabilityVerdict
     weakly_stable: bool  # LP side

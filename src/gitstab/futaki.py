@@ -14,15 +14,15 @@ it.  The invariant is exact; its sign is opposite to the sign of kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import frac
 from .poly import HPoly
+from .record import record
 from .weights import WeightVector, mu
 
 
-@dataclass(frozen=True)
+@record
 class FutakiValue:
     value: Fraction
     n: int

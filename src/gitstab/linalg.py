@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 
 def frac(x) -> Fraction:
@@ -81,10 +80,6 @@ def mat_scale(a, c):
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
-
-
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(r, v)) for r in a)
 
 
 def transpose(a):
@@ -220,10 +215,6 @@ def poly_trim(p):
     while p and not p[-1]:
         p.pop()
     return tuple(p)
-
-
-def poly_is_zero(p) -> bool:
-    return not poly_trim(p)
 
 
 def poly_derivative(p):

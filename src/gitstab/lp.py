@@ -23,14 +23,14 @@ failure would mean a bug in the pivoting itself and raises RuntimeError.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .lazylog import LazyLogger
 from .linalg import frac
+from .record import record
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -38,7 +38,7 @@ _RELATIONS = (LE, EQ, GE)
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
-@dataclass(frozen=True)
+@record
 class LinearProgram:
     """Maximize objective . x subject to row . x <rel> rhs for each constraint."""
 
@@ -61,7 +61,7 @@ class LinearProgram:
         return cls(obj, tuple(rows), n)
 
 
-@dataclass(frozen=True)
+@record
 class LPOutcome:
     """status is 'optimal' (value + witness), 'unbounded' (witness is an
     improving ray) or 'infeasible' (no witness)."""

@@ -26,8 +26,8 @@ magnitude one.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .linalg import frac
 

@@ -30,22 +30,22 @@ basis sweep for a way to probe other bases.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import boxscan, lp
+from .lazylog import LazyLogger
 from .poly import HPoly, support
+from .record import record
 from .weights import WeightVector, mu
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 STABLE = "stable"
 WEAKLY_STABLE_NOT_STABLE = "weakly_stable_not_stable"
 NOT_WEAKLY_STABLE = "not_weakly_stable"
 
 
-@dataclass(frozen=True)
+@record
 class StabilityVerdict:
     """Outcome of a classification.
 

@@ -14,13 +14,13 @@ on polynomials.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from . import linalg
 from .linalg import frac
 from .poly import HPoly, _mul_maps
+from .record import record
 from .weights import WeightVector
 
 # Newton iteration doubles the nilpotency order it has corrected for, so even
@@ -28,7 +28,7 @@ from .weights import WeightVector
 _NEWTON_CAP = 24
 
 
-@dataclass(frozen=True)
+@record
 class LinearVectorField:
     """v = sum a_ij z_j d/dz_i with rational a_ij, as an n x n matrix."""
 
@@ -102,7 +102,7 @@ class LinearVectorField:
         return LinearVectorField(linalg.mat_sub(self.rows, other.rows))
 
 
-@dataclass(frozen=True)
+@record
 class InvarianceResult:
     invariant: bool
     kappa: Fraction | None

@@ -9,15 +9,15 @@ limit of the polynomial under the associated one-parameter degeneration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .linalg import frac
 from .poly import HPoly, Monomial
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class WeightVector:
     """Rational weights, one per variable."""
 
@@ -92,7 +92,7 @@ class WeightVector:
         return ",".join(str(x) for x in self.values)
 
 
-@dataclass
+@record(frozen=False)
 class WeightSpectrum:
     """Partition of a polynomial into constant-weight strata."""
 

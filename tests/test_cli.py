@@ -262,6 +262,28 @@ def test_corpus_parallel_matches_serial(capsys, tmp_path):
     assert code_s == code_p == 0 and out_s == out_p
 
 
+def test_corpus_internal_error_stays_on_its_line(capsys, tmp_path, monkeypatch):
+    import gitstab.cli
+
+    lines = _corpus_lines()
+    real = gitstab.cli.classify_torus
+
+    def faulty(f):
+        if len(f.terms) == 2:  # the middle line, z0*z1 + z2*z3
+            raise RuntimeError("internal check failed")
+        return real(f)
+
+    monkeypatch.setattr(gitstab.cli, "classify_torus", faulty)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "corpus", str(path), "--workers", "1")
+    assert code == 2 and err == ""
+    rows = [json.loads(l) for l in out.splitlines()]
+    assert len(rows) == 3
+    assert rows[0]["class"] == "stable" and rows[2]["class"] == "not_weakly_stable"
+    assert rows[1] == {"error": "internal check failed", "line": lines[1]}
+
+
 def test_corpus_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(_corpus_lines()[0] + "\n"))
     code, out, err = run(capsys, "corpus", "-", "--workers", "1")
@@ -377,6 +399,46 @@ def test_stability_run_imports_no_multiprocessing():
     assert json.loads(proc.stdout)["class"] == "stable"
 
 
+# Modules that `import gitstab` must load: the benchmark tracer wraps their
+# functions, and start-up must still load every one of them eagerly.
+_TRACED_MODULES = (
+    "poly", "lp", "linalg", "stability", "boxscan", "degeneration", "futaki", "vfield", "weights"
+)
+_NOT_AT_START_UP = ("dataclasses", "inspect", "logging")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_logging():
+    script = f"import sys, gitstab.cli\nprint([m for m in {_NOT_AT_START_UP!r} if m in sys.modules])"
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_stability_run_loads_no_dataclasses_inspect_or_logging(monkeypatch):
+    # The unstable cubic reaches the LP's DEBUG call, which must not import logging.
+    monkeypatch.delenv("GITSTAB_LOG", raising=False)
+    script = (
+        "import sys\n"
+        "from gitstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"sys.exit(97 if any(m in sys.modules for m in {_NOT_AT_START_UP!r}) else code)\n"
+    )
+    proc = run_python("-c", script, "stability", "-f", UNSTABLE_CUBIC, "--json")
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stdout)["destabilizer"] == [-7, 5, 1, 1]
+    assert proc.stderr == ""
+
+
+def test_package_import_loads_every_traced_module():
+    script = (
+        "import sys, gitstab\n"
+        f"print([m for m in {_TRACED_MODULES!r} if 'gitstab.' + m not in sys.modules])"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -405,6 +467,9 @@ def test_log_env_var_enables_debug_output():
     )
     assert proc.returncode == 0
     assert "eigenbasis" in proc.stderr
+    assert proc.stderr.startswith(
+        "DEBUG gitstab.degeneration: rewrote polynomial in an eigenbasis; weights "
+    )
     quiet = subprocess.run(
         [sys.executable, "-m", "gitstab", "degenerate", "-f", FERMAT, "--field", rows],
         capture_output=True,
@@ -412,6 +477,27 @@ def test_log_env_var_enables_debug_output():
         env=dict(os.environ, GITSTAB_LOG=""),
     )
     assert quiet.returncode == 0 and "eigenbasis" not in quiet.stderr
+
+
+def test_crosscheck_disagreement_warns_without_log_setting(monkeypatch):
+    # The LP side is forced to "stable" on an unstable form, so the box
+    # finds violations the LP denies.
+    monkeypatch.delenv("GITSTAB_LOG", raising=False)
+    script = (
+        "import sys\n"
+        "from gitstab import stability\n"
+        "stable = stability.StabilityVerdict(stability.STABLE, None, 0, None)\n"
+        "stability.classify_torus = lambda f: stable\n"
+        "from gitstab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = run_python("-c", script, "crosscheck", "-f", UNSTABLE_CUBIC, "--bound", "2", "--json")
+    assert proc.returncode == 5, proc.stderr
+    assert json.loads(proc.stdout)["agreement"] is False
+    assert proc.stderr == (
+        "WARNING gitstab.degeneration: crosscheck disagreement: "
+        "LP says weakly_stable=True, box says False\n"
+    )
 
 
 @pytest.mark.skipif(shutil.which("gitstab") is None, reason="console script not installed")

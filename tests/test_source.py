@@ -22,3 +22,47 @@ def test_package_has_no_runtime_assert():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _import_time_nodes(tree):
+    """Statements run when the module is imported: everything outside a
+    function body (class bodies run at import too)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module.split(".")[0]]
+    return []
+
+
+def test_package_start_up_imports_neither_dataclasses_nor_logging():
+    # `dataclasses` (with the `inspect` machinery it loads) and `logging` cost
+    # every CLI process milliseconds; value classes come from gitstab.record,
+    # and `logging` is imported only where a record can be printed.
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert paths, "package sources not found"
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        where = os.path.basename(path)
+        found += [
+            f"{where}:{node.lineno} dataclasses"
+            for node in ast.walk(tree)
+            if "dataclasses" in _imported_modules(node)
+        ]
+        found += [
+            f"{where}:{node.lineno} logging"
+            for node in _import_time_nodes(tree)
+            if "logging" in _imported_modules(node)
+        ]
+    assert found == []

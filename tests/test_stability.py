@@ -185,3 +185,15 @@ def test_bogus_destabilizer_rejected_under_optimize():
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split(maxsplit=1) == ["1", "destabilizer must be trace-zero\n"]
+
+
+def test_configured_logging_receives_debug_record(caplog):
+    # A library caller that imported and configured logging gets the
+    # package's DEBUG records, attributed to the function that logged them.
+    import logging
+
+    caplog.set_level(logging.DEBUG, logger="gitstab.stability")
+    classify_torus(hp("z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3", 4))
+    records = [r for r in caplog.records if r.name == "gitstab.stability"]
+    assert [r.getMessage() for r in records] == ["destabilizer -7,5,1,1 with mu=3 (strict=True)"]
+    assert records[0].levelname == "DEBUG" and records[0].funcName == "classify_torus"
