@@ -1,26 +1,29 @@
-"""Front end for the integer box scan.
+"""Integer box enumerator and scan.
 
-Selects the compiled kernel when the extension was built and the problem fits
-inside its int64 guards, otherwise the pure-Python twin.  Both implement the
-identical algorithm, so the choice never changes a result, only the runtime.
-The box enumerator `iter_trace_zero_box` is re-exported from the pure-Python
-kernel, which walks it; the crosscheck walks the same enumerator.
+`iter_trace_zero_box` walks every nonzero trace-zero integer vector in
+[-bound, bound]^n (lexicographic order on the first n-1 coordinates, last
+coordinate forced by the zero-sum condition); the crosscheck walks it too.
+`scan_box` records, against a fixed list of exponent vectors,
+
+  * the first vector whose weights are all positive,
+  * the first vector whose weights are all non-negative with at least one
+    positive,
+  * an integer row-echelon basis of the span of the vectors whose weights all
+    vanish.
+
+All arithmetic is on plain Python ints.
 """
 
 from __future__ import annotations
 
-from ._boxscan_py import iter_trace_zero_box, scan_box_py  # noqa: F401
-from .lazylog import LazyLogger
+from bisect import insort
+from itertools import product
+from math import gcd
+
 from .record import record
 
-log = LazyLogger(__name__)
-
-try:
-    from ._boxscan import scan_box_c
-except ImportError:  # extension not built; pure Python handles everything
-    scan_box_c = None
-
-HAVE_COMPILED = scan_box_c is not None
+# Read by perfbench/run.py's run metadata; there is no compiled kernel.
+HAVE_COMPILED = False
 
 # Refuse enumerations beyond this many candidate vectors.
 MAX_CANDIDATES = 10**8
@@ -50,12 +53,53 @@ def check_box_size(n_vars: int, bound: int):
         )
 
 
-def scan_box(gammas, n_vars: int, bound: int, backend: str | None = None) -> BoxScanResult:
-    """Run the scan over the support rows `gammas`.
+def _absorb(basis, vec):
+    """Reduce vec against the echelon basis; extend the basis if independent.
 
-    backend forces 'compiled' or 'python'; None picks the compiled kernel
-    when available and falls back transparently if its guards trip.
+    basis holds (pivot_index, row) pairs sorted by pivot index.  Rows are
+    gcd-normalized with a positive pivot.  Returns True when vec enlarged the
+    span.
     """
+    v = list(vec)
+    for pivot, row in basis:
+        c = v[pivot]
+        if c:
+            p = row[pivot]
+            v = [a * p - b * c for a, b in zip(v, row)]
+            g = 0
+            for a in v:
+                g = gcd(g, a)
+            if g > 1:
+                v = [a // g for a in v]
+    pivot = next((i for i, a in enumerate(v) if a), None)
+    if pivot is None:
+        return False
+    if v[pivot] < 0:
+        v = [-a for a in v]
+    g = 0
+    for a in v:
+        g = gcd(g, a)
+    if g > 1:
+        v = [a // g for a in v]
+    insort(basis, (pivot, v))
+    return True
+
+
+def iter_trace_zero_box(n_vars: int, bound: int):
+    """Yield every nonzero integer vector with zero sum in [-bound, bound]^n,
+    in the order the scan visits them."""
+    rng = range(-bound, bound + 1)
+    for head in product(rng, repeat=n_vars - 1):
+        last = -sum(head)
+        if last < -bound or last > bound:
+            continue
+        if last == 0 and not any(head):
+            continue
+        yield head + (last,)
+
+
+def scan_box(gammas, n_vars: int, bound: int) -> BoxScanResult:
+    """Run the scan over the support rows `gammas`."""
     check_box_size(n_vars, bound)
     gs = [tuple(int(x) for x in g) for g in gammas]
     if not gs:
@@ -63,20 +107,37 @@ def scan_box(gammas, n_vars: int, bound: int, backend: str | None = None) -> Box
     if any(len(g) != n_vars for g in gs):
         raise ValueError("support row length does not match n_vars")
 
-    if backend not in (None, "python", "compiled"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and not HAVE_COMPILED:
-        raise ValueError("compiled kernel is not available")
-
-    raw = None
-    if backend != "python" and HAVE_COMPILED:
-        try:
-            raw = scan_box_c(gs, n_vars, bound)
-        except OverflowError as exc:
-            if backend == "compiled":
-                raise ValueError(f"problem exceeds compiled kernel limits: {exc}") from None
-            log.debug("compiled scan declined (%s); using pure Python", exc)
-    if raw is None:
-        raw = scan_box_py(gs, n_vars, bound)
-    scanned, strict, semi, rank, basis, zero_count = raw
-    return BoxScanResult(int(scanned), strict, semi, int(rank), basis, int(zero_count))
+    strict = None
+    semi = None
+    scanned = 0
+    zero_count = 0
+    basis: list = []
+    for lam in iter_trace_zero_box(n_vars, bound):
+        scanned += 1
+        all_nonneg = True
+        any_pos = False
+        all_pos = True
+        for g in gs:
+            w = 0
+            for l, gi in zip(lam, g):
+                w += l * gi
+            if w < 0:
+                all_nonneg = False
+                break
+            if w > 0:
+                any_pos = True
+            else:
+                all_pos = False
+        if not all_nonneg:
+            continue
+        if any_pos:
+            if semi is None:
+                semi = lam
+            if all_pos and strict is None:
+                strict = lam
+        else:
+            zero_count += 1
+            _absorb(basis, lam)
+    return BoxScanResult(
+        scanned, strict, semi, len(basis), tuple(tuple(row) for _, row in basis), zero_count
+    )

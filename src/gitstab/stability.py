@@ -152,7 +152,7 @@ def destabilizer(f: HPoly) -> WeightVector | None:
     return classify_torus(f).destabilizer
 
 
-def oracle_classify(f: HPoly, box_bound: int, backend: str | None = None) -> StabilityVerdict:
+def oracle_classify(f: HPoly, box_bound: int) -> StabilityVerdict:
     """Classification by exhaustive enumeration of integer vectors in a box.
 
     Independent of the LP route.  A not_weakly_stable verdict is definitive;
@@ -160,8 +160,7 @@ def oracle_classify(f: HPoly, box_bound: int, backend: str | None = None) -> Sta
     entries bounded by box_bound.
     """
     gammas = _sorted_support(f)
-    boxscan.check_box_size(f.n_vars, box_bound)
-    res = boxscan.scan_box(gammas, f.n_vars, box_bound, backend=backend)
+    res = boxscan.scan_box(gammas, f.n_vars, box_bound)
     if res.strict is not None or res.semi is not None:
         chosen = res.strict if res.strict is not None else res.semi
         lam = WeightVector.from_values(chosen).primitive_integer()

@@ -3,8 +3,13 @@
 import ast
 import glob
 import os
+import shutil
+import subprocess
 
-PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "gitstab")
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+PACKAGE = os.path.join(ROOT, "src", "gitstab")
 
 
 def test_package_has_no_runtime_assert():
@@ -66,3 +71,15 @@ def test_package_start_up_imports_neither_dataclasses_nor_logging():
             if "logging" in _imported_modules(node)
         ]
     assert found == []
+
+
+def test_no_tracked_file_is_gitignored():
+    # A tracked file that .gitignore lists (a generated source, a build
+    # product) is stale the moment it is regenerated.
+    if shutil.which("git") is None or not os.path.exists(os.path.join(ROOT, ".git")):
+        pytest.skip("not a git work tree")
+    out = subprocess.run(
+        ["git", "ls-files", "-ci", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == ""
