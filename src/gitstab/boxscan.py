@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import insort
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .record import record
 
@@ -53,6 +54,12 @@ def check_box_size(n_vars: int, bound: int):
         )
 
 
+def _primitive(v):
+    """v divided by the gcd of its entries (the zero vector stays as it is)."""
+    g = gcd(*v)
+    return [a // g for a in v] if g > 1 else v
+
+
 def _absorb(basis, vec):
     """Reduce vec against the echelon basis; extend the basis if independent.
 
@@ -65,23 +72,13 @@ def _absorb(basis, vec):
         c = v[pivot]
         if c:
             p = row[pivot]
-            v = [a * p - b * c for a, b in zip(v, row)]
-            g = 0
-            for a in v:
-                g = gcd(g, a)
-            if g > 1:
-                v = [a // g for a in v]
+            v = _primitive([a * p - b * c for a, b in zip(v, row)])
     pivot = next((i for i, a in enumerate(v) if a), None)
     if pivot is None:
         return False
     if v[pivot] < 0:
         v = [-a for a in v]
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    if g > 1:
-        v = [a // g for a in v]
-    insort(basis, (pivot, v))
+    insort(basis, (pivot, _primitive(v)))
     return True
 
 
@@ -114,30 +111,21 @@ def scan_box(gammas, n_vars: int, bound: int) -> BoxScanResult:
     basis: list = []
     for lam in iter_trace_zero_box(n_vars, bound):
         scanned += 1
-        all_nonneg = True
-        any_pos = False
-        all_pos = True
+        weights = []
         for g in gs:
-            w = 0
-            for l, gi in zip(lam, g):
-                w += l * gi
+            w = sum(map(mul, lam, g))
             if w < 0:
-                all_nonneg = False
                 break
-            if w > 0:
-                any_pos = True
-            else:
-                all_pos = False
-        if not all_nonneg:
-            continue
-        if any_pos:
+            weights.append(w)
+        else:  # no weight is negative
+            if not max(weights):
+                zero_count += 1
+                _absorb(basis, lam)
+                continue
             if semi is None:
                 semi = lam
-            if all_pos and strict is None:
+            if strict is None and min(weights) > 0:
                 strict = lam
-        else:
-            zero_count += 1
-            _absorb(basis, lam)
     return BoxScanResult(
         scanned, strict, semi, len(basis), tuple(tuple(row) for _, row in basis), zero_count
     )

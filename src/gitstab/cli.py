@@ -24,18 +24,14 @@ from .degeneration import build_degeneration, from_destabilizer, theorem_crossch
 from .futaki import futaki_of_limit
 from .lazylog import configure_on_first_use
 from .linalg import frac, mat_inv
-from .poly import HPoly, PolyParseError, parse_poly, print_poly
-from .stability import NOT_WEAKLY_STABLE, STABLE, classify_torus
+from .poly import HPoly, parse_poly, print_poly
+from .stability import NOT_WEAKLY_STABLE, classify_torus
 from .vfield import parse_field, substitute_linear
 from .weights import WeightVector, mu, weight_spectrum, limit_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_WEAKLY = 3
-EXIT_NOT_WEAKLY = 4
 EXIT_DISAGREEMENT = 5
-
-_CLASS_RANK = {STABLE: 0, "weakly_stable_not_stable": 1, NOT_WEAKLY_STABLE: 2}
 
 
 def _infer_n_vars(text: str) -> int:
@@ -130,7 +126,8 @@ def cmd_limit(args) -> int:
 
 def _classify_with_bases(args, f: HPoly):
     """Classify in the given coordinates, then in any requested bases,
-    keeping the strongest instability found."""
+    keeping the strongest instability found (verdict exit codes 0 < 3 < 4
+    rank stable, weakly stable and not weakly stable)."""
     best = (classify_torus(f), "given")
     candidates = []
     for text in args.basis or []:
@@ -140,7 +137,7 @@ def _classify_with_bases(args, f: HPoly):
         candidates += [_random_basis(rng, f.n_vars) for _ in range(args.basis_sweep)]
     for basis in candidates:
         verdict = classify_torus(substitute_linear(f, basis))
-        if _CLASS_RANK[verdict.classification] > _CLASS_RANK[best[0].classification]:
+        if verdict.exit_code > best[0].exit_code:
             best = (verdict, basis)
             if verdict.classification == NOT_WEAKLY_STABLE:
                 break
@@ -243,7 +240,10 @@ def _corpus_worker(line: str) -> str:
         return ""
     try:
         row = json.loads(line)
-        f = parse_poly(row["f"], int(row["n_vars"]))
+        n_vars = row["n_vars"]
+        if type(n_vars) is not int:  # rejects floats, strings and booleans
+            raise ValueError(f"n_vars must be a JSON integer, got {json.dumps(n_vars)}")
+        f = parse_poly(row["f"], n_vars)
         return json.dumps(classify_torus(f).to_json())
     except (KeyError, ValueError, TypeError, RuntimeError) as exc:
         # A RuntimeError is an internal check failing on this line; it stays
@@ -395,10 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # PolyParseError, JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

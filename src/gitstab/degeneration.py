@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import boxscan, poly, stability
 from .futaki import FutakiValue, check_fano_range, futaki_from_kappa, futaki_of_limit
@@ -286,7 +287,7 @@ def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
     enumerated = 0
     for lam in boxscan.iter_trace_zero_box(f.n_vars, bound):
         enumerated += 1
-        weights = [sum(l * e for l, e in zip(lam, g)) for g in gammas]
+        weights = [sum(map(mul, lam, g)) for g in gammas]
         lo = min(weights)
         trivial = lo == max(weights)
         kind = _weight_kind(lo, trivial)

@@ -72,9 +72,10 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(a, c):
+def mat_shift(a, c):
+    """a + c*I: c added on the diagonal, every other entry kept."""
     c = frac(c)
-    return tuple(tuple(c * x for x in r) for r in a)
+    return tuple(tuple(x + c if i == j else x for j, x in enumerate(r)) for i, r in enumerate(a))
 
 
 def mat_mul(a, b):
@@ -269,13 +270,14 @@ def poly_squarefree_part(p):
 
 
 def poly_eval_matrix(p, a):
-    n = len(a)
+    """p(a) by Horner's rule, one matrix product per degree."""
     p = poly_trim(p)
+    acc = zero_matrix(len(a))
     if not p:
-        return zero_matrix(n)
-    acc = mat_scale(identity(n), p[-1])
+        return acc
+    acc = mat_shift(acc, p[-1])
     for c in reversed(p[:-1]):
-        acc = mat_add(mat_mul(acc, a), mat_scale(identity(n), c))
+        acc = mat_shift(mat_mul(acc, a), c)
     return acc
 
 

@@ -34,6 +34,7 @@ log = LazyLogger(__name__)
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+_FLIPPED = {LE: GE, EQ: EQ, GE: LE}
 
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
@@ -131,53 +132,39 @@ def solve(program: LinearProgram, pivot_log: list | None = None) -> LPOutcome:
     pivot_log, when given, collects one snapshot per pivot for debugging.
     """
     n = program.n_vars
-    cons = []
-    for row, rel, rhs in program.constraints:
-        if rhs < 0:
-            row = tuple(-x for x in row)
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        cons.append((row, rel, rhs))
-
-    n_slack = sum(1 for _, rel, _ in cons if rel != EQ)
-    width = 2 * n + n_slack  # x+ | x- | slacks
-    rows = []
-    si = 0
-    for row, rel, rhs in cons:
-        full = [Fraction(0)] * width
-        for j, x in enumerate(row):
-            if x:
-                full[j] = x
-                full[n + j] = -x
-        basic = None
-        if rel != EQ:
-            col = 2 * n + si
-            si += 1
-            full[col] = Fraction(1) if rel == LE else Fraction(-1)
-            if rel == LE:
-                basic = col
-        rows.append((full, rhs, basic))
-
-    n_art = sum(1 for _, _, basic in rows if basic is None)
+    # A negative right-hand side is negated together with its row.
+    cons = [
+        (row, rel, rhs) if rhs >= 0 else (tuple(-x for x in row), _FLIPPED[rel], -rhs)
+        for row, rel, rhs in program.constraints
+    ]
+    # Columns: x+ | x- | one slack per inequality | one artificial per row
+    # that has no +1 slack to start the basis with, each block in row order.
+    n_slack = sum(rel != EQ for _, rel, _ in cons)
+    n_art = sum(rel != LE for _, rel, _ in cons)
+    width = 2 * n + n_slack
     total = width + n_art
     tab = []
     basis = []
-    art_cols = []
-    acol = width
-    for full, rhs, basic in rows:
-        line = full + [Fraction(0)] * n_art + [rhs]
-        if basic is None:
+    scol, acol = 2 * n, width
+    for row, rel, rhs in cons:
+        line = [Fraction(0)] * total + [rhs]
+        for j, x in enumerate(row):
+            if x:
+                line[j] = x
+                line[n + j] = -x
+        if rel != EQ:
+            line[scol] = Fraction(1) if rel == LE else Fraction(-1)
+            scol += 1
+        if rel == LE:
+            basis.append(scol - 1)
+        else:
             line[acol] = Fraction(1)
-            basic = acol
-            art_cols.append(acol)
+            basis.append(acol)
             acol += 1
         tab.append(line)
-        basis.append(basic)
 
-    if art_cols:
-        cost1 = [Fraction(0)] * total
-        for c in art_cols:
-            cost1[c] = Fraction(-1)
+    if n_art:
+        cost1 = [Fraction(0)] * width + [Fraction(-1)] * n_art
         crow = _canonical_cost(cost1, tab, basis)
         status, _ = _iterate(tab, basis, crow, total, pivot_log, phase=1)
         if status != OPTIMAL:
@@ -185,15 +172,15 @@ def solve(program: LinearProgram, pivot_log: list | None = None) -> LPOutcome:
         if -crow[-1] < 0:
             log.debug("infeasible: phase-one optimum %s", -crow[-1])
             return LPOutcome(INFEASIBLE, None, None)
-        # Drive leftover artificials out of the basis; a row with no real
-        # entries left is a redundant constraint and is dropped.
-        art_set = set(art_cols)
-        for r in [r for r in range(len(tab)) if basis[r] in art_set]:
+        # Drive leftover artificials (columns from width on) out of the basis;
+        # a row with no real entries left is a redundant constraint and is
+        # dropped.
+        for r in [r for r, b in enumerate(basis) if b >= width]:
             j = next((j for j in range(width) if tab[r][j]), None)
             if j is None:
                 continue
             _pivot(tab, crow, basis, r, j)
-        keep = [r for r in range(len(tab)) if basis[r] not in art_set]
+        keep = [r for r, b in enumerate(basis) if b < width]
         tab = [tab[r] for r in keep]
         basis = [basis[r] for r in keep]
 

@@ -322,8 +322,7 @@ def rational_diagonalize(v: LinearVectorField, psf: tuple | None = None):
     cols = []
     weights = []
     for r in roots:
-        shifted = linalg.mat_sub(a, linalg.mat_scale(linalg.identity(n), r))
-        for b in linalg.nullspace(shifted):
+        for b in linalg.nullspace(linalg.mat_shift(a, -r)):
             cols.append(b)
             weights.append(r)
     if len(weights) != n:

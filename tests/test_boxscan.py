@@ -1,9 +1,14 @@
 """Box scan: the trace-zero enumerator, the scan's witnesses and fixing
 basis, and its input checks."""
 
+from itertools import product
+from math import gcd
+from random import Random
+
 import pytest
 
-from gitstab import boxscan
+from gitstab import boxscan, linalg
+from helpers import random_monomial
 
 
 def test_iter_trace_zero_box():
@@ -61,3 +66,46 @@ def test_python_kernel_handles_big_integers():
     big = 2**40
     res = boxscan.scan_box([(big, 1)], 2, 3)
     assert res.semi is not None
+
+
+def _scan_from_definition(gammas, n_vars, bound):
+    """(scanned, strict, semi, zero-weight vectors), straight from the
+    definitions, over the box in lexicographic order."""
+    scanned, strict, semi, zeros = 0, None, None, []
+    for lam in product(range(-bound, bound + 1), repeat=n_vars):
+        if sum(lam) or not any(lam):
+            continue
+        scanned += 1
+        weights = [sum(l * e for l, e in zip(lam, g)) for g in gammas]
+        if min(weights) < 0:
+            continue
+        if max(weights) == 0:
+            zeros.append(lam)
+            continue
+        if semi is None:
+            semi = lam
+        if strict is None and min(weights) > 0:
+            strict = lam
+    return scanned, strict, semi, zeros
+
+
+def _rank(rows):
+    return len(linalg.rref(rows)[1]) if rows else 0
+
+
+def test_scan_matches_the_definition_on_random_supports():
+    rng = Random(2024)
+    for _ in range(300):
+        n_vars = rng.randint(2, 5)
+        bound = rng.randint(1, 3)
+        degree = rng.randint(2, 4)
+        gammas = sorted({random_monomial(rng, n_vars, degree) for _ in range(rng.randint(1, 5))})
+        scanned, strict, semi, zeros = _scan_from_definition(gammas, n_vars, bound)
+        res = boxscan.scan_box(gammas, n_vars, bound)
+        assert (res.scanned, res.strict, res.semi) == (scanned, strict, semi)
+        assert res.zero_weight_count == len(zeros)
+        for row in res.fixing_basis:
+            assert sum(row) == 0 and gcd(*row) == 1
+            assert all(sum(l * e for l, e in zip(row, g)) == 0 for g in gammas)
+        assert res.fixing_rank == len(res.fixing_basis) == _rank(res.fixing_basis)
+        assert res.fixing_rank == _rank(zeros) == _rank(zeros + list(res.fixing_basis))

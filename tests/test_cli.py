@@ -254,6 +254,22 @@ def test_corpus_reports_bad_rows(capsys, tmp_path):
     assert len(rows) == 4 and "error" in rows[3]
 
 
+@pytest.mark.parametrize("n_vars", [3.7, "2", True])
+def test_corpus_rejects_a_non_integer_n_vars(capsys, tmp_path, n_vars):
+    # int() would read 3.7 as 3, "2" as 2 and true as 1
+    bad = json.dumps({"f": "z0*z1", "n_vars": n_vars})
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([_corpus_lines()[0], bad]) + "\n")
+    code, out, err = run(capsys, "corpus", str(path), "--workers", "1")
+    assert code == 2
+    rows = [json.loads(l) for l in out.splitlines()]
+    assert rows[0]["class"] == "stable"
+    assert rows[1] == {
+        "error": f"n_vars must be a JSON integer, got {json.dumps(n_vars)}",
+        "line": bad,
+    }
+
+
 def test_corpus_parallel_matches_serial(capsys, tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(_corpus_lines() * 3) + "\n")

@@ -57,6 +57,36 @@ def test_charpoly_annihilates_matrix():
         assert linalg.is_zero_matrix(linalg.poly_eval_matrix(p, m))
 
 
+def _poly_of_matrix_from_definition(p, a):
+    """sum of p[i] * a^i, with the powers multiplied out entry by entry."""
+    n = len(a)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for c in p:
+        for i in range(n):
+            for j in range(n):
+                total[i][j] += c * power[i][j]
+        power = [
+            [sum(power[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)
+        ]
+    return tuple(tuple(r) for r in total)
+
+
+def test_poly_eval_matrix_matches_the_definition():
+    rng = Random(29)
+    for n in range(1, 7):
+        for _ in range(8):
+            m = tuple(
+                tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+                for _ in range(n)
+            )
+            for length in range(6):  # 0 is the empty polynomial, 1 a constant
+                p = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length))
+                got = linalg.poly_eval_matrix(p, m)
+                assert got == _poly_of_matrix_from_definition(p, m)
+                assert all(isinstance(x, Fraction) for r in got for x in r)
+
+
 def test_poly_division_and_gcd():
     # (x-1)^2 (x+2) and (x-1)(x-3)
     p = linalg.poly_trim((Fraction(2), Fraction(-3), Fraction(0), Fraction(1)))

@@ -5,6 +5,7 @@ import glob
 import os
 import shutil
 import subprocess
+from collections import Counter
 
 import pytest
 
@@ -83,3 +84,47 @@ def test_no_tracked_file_is_gitignored():
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     assert out.stdout == ""
+
+
+def _referenced_names(node):
+    """Every name a syntax tree uses: variables, attributes, imported names
+    and whole string constants (`__all__` entries, names looked up by
+    string)."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names[sub.value] += 1
+    return names
+
+
+def test_every_package_function_is_referenced():
+    # A module-level function that nothing calls, imports or names is dead
+    # code; the benchmark and the scripts count as users.
+    paths = []
+    for folder in ("src", "scripts", "perfbench", "tests"):
+        paths += glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True)
+    used = Counter()
+    functions = []
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        used += _referenced_names(tree)
+        if os.path.dirname(os.path.abspath(path)) == os.path.abspath(PACKAGE):
+            functions += [
+                (os.path.basename(path), node)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    assert functions, "package sources not found"
+    unused = [
+        f"{where}:{node.name}"
+        for where, node in functions
+        if used[node.name] <= _referenced_names(node)[node.name]
+    ]
+    assert unused == []
