@@ -22,7 +22,6 @@ from .poly import (
     HPoly,
     Monomial,
     PolyParseError,
-    euler_check,
     parse_poly,
     print_poly,
     support,
@@ -33,7 +32,6 @@ from .stability import (
     WEAKLY_STABLE_NOT_STABLE,
     StabilityVerdict,
     classify_torus,
-    destabilizer,
     oracle_classify,
     verdicts_consistent,
 )
@@ -42,7 +40,6 @@ from .vfield import (
     LinearVectorField,
     apply_derivation,
     chevalley_split,
-    exp_nilpotent_action,
     invariance,
     parse_field,
     rational_diagonalize,
@@ -73,9 +70,6 @@ __all__ = [
     "build_degeneration",
     "chevalley_split",
     "classify_torus",
-    "destabilizer",
-    "euler_check",
-    "exp_nilpotent_action",
     "from_destabilizer",
     "futaki_from_kappa",
     "futaki_of_limit",

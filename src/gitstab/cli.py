@@ -33,6 +33,19 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 5
 
+# linalg.nullspace builds n - rank vectors of length n, so classifying a form
+# in n variables costs about n^2 work and memory; larger inputs are refused.
+MAX_VARS = 256
+
+
+def _parse_input(text, n_vars) -> HPoly:
+    """parse_poly behind the variable-count gate every CLI input passes."""
+    if type(n_vars) is not int:  # rejects floats, strings and booleans
+        raise ValueError(f"n_vars must be a JSON integer, got {json.dumps(n_vars)}")
+    if n_vars > MAX_VARS:
+        raise ValueError(f"n_vars must be at most {MAX_VARS}, got {n_vars}")
+    return parse_poly(text, n_vars)
+
 
 def _infer_n_vars(text: str) -> int:
     indices = [int(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
@@ -48,7 +61,7 @@ def _load_poly(args) -> HPoly:
     if text is None:
         raise ValueError("no polynomial given; use -f or --poly-file")
     n = args.n_vars if args.n_vars is not None else _infer_n_vars(text)
-    return parse_poly(text, n)
+    return _parse_input(text, n)
 
 
 def _emit(args, payload: dict, human_lines):
@@ -234,21 +247,26 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if report.agreement else EXIT_DISAGREEMENT
 
 
-def _corpus_worker(line: str) -> str:
+def _corpus_worker(line: str) -> tuple:
+    """(failed, JSON text) for one nonblank corpus line."""
     line = line.strip()
-    if not line:
-        return ""
     try:
         row = json.loads(line)
-        n_vars = row["n_vars"]
-        if type(n_vars) is not int:  # rejects floats, strings and booleans
-            raise ValueError(f"n_vars must be a JSON integer, got {json.dumps(n_vars)}")
-        f = parse_poly(row["f"], n_vars)
-        return json.dumps(classify_torus(f).to_json())
+        f = _parse_input(row["f"], row["n_vars"])
+        return False, json.dumps(classify_torus(f).to_json())
     except (KeyError, ValueError, TypeError, RuntimeError) as exc:
         # A RuntimeError is an internal check failing on this line; it stays
         # this line's error instead of aborting the run.
-        return json.dumps({"error": str(exc), "line": line})
+        return True, json.dumps({"error": str(exc), "line": line})
+
+
+def _print_rows(rows) -> int:
+    """Print each (failed, text) row as it arrives; return the failure count."""
+    failed = 0
+    for bad, text in rows:
+        print(text, flush=True)
+        failed += bad
+    return failed
 
 
 def cmd_corpus(args) -> int:
@@ -258,20 +276,16 @@ def cmd_corpus(args) -> int:
         with open(args.path) as fh:
             lines = fh.read().splitlines()
     lines = [l for l in lines if l.strip()]
-    if args.workers > 1 and len(lines) > 1:
+    # The pool forks all its workers at once, so it never outgrows the work.
+    workers = min(args.workers, len(lines), os.cpu_count() or 1)
+    if workers > 1:
         # imported here so that runs which never fork skip multiprocessing's import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_corpus_worker, lines, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            failed = _print_rows(pool.map(_corpus_worker, lines, chunksize=8))
     else:
-        results = [_corpus_worker(l) for l in lines]
-    failed = 0
-    for out in results:
-        if out:
-            print(out)
-            if '"error"' in out:
-                failed += 1
+        failed = _print_rows(map(_corpus_worker, lines))
     return EXIT_USAGE if failed else EXIT_OK
 
 

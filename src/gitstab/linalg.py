@@ -87,10 +87,6 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def is_zero_matrix(a) -> bool:
     return all(not x for r in a for x in r)
 

@@ -88,17 +88,11 @@ class HPoly:
             and self.terms == other.terms
         )
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __str__(self) -> str:
         return print_poly(self)
 
     def __repr__(self) -> str:
         return f"HPoly({print_poly(self)!r}, n_vars={self.n_vars})"
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
 
 
 def support(f: HPoly) -> set:
@@ -131,10 +125,6 @@ def scale(f: HPoly, c) -> HPoly:
     return HPoly(f.n_vars, {m: c * v for m, v in f.terms.items()})
 
 
-def negate(f: HPoly) -> HPoly:
-    return scale(f, -1)
-
-
 def _mul_maps(a: Mapping, b: Mapping, n_vars: int) -> dict:
     """Convolution of two raw term maps (not necessarily homogeneous)."""
     out: dict = {}
@@ -147,27 +137,6 @@ def _mul_maps(a: Mapping, b: Mapping, n_vars: int) -> dict:
             else:
                 out.pop(m, None)
     return out
-
-
-def multiply(f: HPoly, g: HPoly) -> HPoly:
-    """Product; never zero because the coefficient ring is a domain."""
-    if f.n_vars != g.n_vars:
-        raise ValueError("variable count mismatch")
-    return HPoly(f.n_vars, _mul_maps(f.terms, g.terms, f.n_vars))
-
-
-def euler_check(f: HPoly) -> int:
-    """Recompute sum(gamma)*f_gamma per term and compare against degree*f.
-
-    The constructor already enforces homogeneity, so a mismatch here means
-    internal state was corrupted; that raises RuntimeError, not a user
-    error.  Returns the degree.
-    """
-    applied = {m: c * sum(m) for m, c in f.terms.items()}
-    scaled = {m: c * f.degree for m, c in f.terms.items()}
-    if applied != scaled:
-        raise RuntimeError("Euler derivation disagrees with stored degree")
-    return f.degree
 
 
 _TOKEN = re.compile(r"z(\d+)|(\d+)|([-+*/^])|(\S)")

@@ -5,10 +5,10 @@ and repr that `@dataclass(frozen=True)` would, built from plain closures, so
 importing the package neither runs `exec` per class nor loads `dataclasses`
 and the `inspect` machinery it imports.  Positional and keyword arguments,
 trailing class-level defaults and `__post_init__` work as with dataclasses.
-Equality holds only between instances of the same class.  Frozen records
-refuse assignment and deletion with AttributeError (`__post_init__` may set a
-field through `object.__setattr__`) and hash by their fields; mutable ones
-(`frozen=False`) are unhashable.
+Equality holds only between instances of the same class.  Records refuse
+assignment and deletion with AttributeError (`__post_init__` may set a field
+through `object.__setattr__`) and hash by their fields, so a record holding a
+dict raises TypeError on hashing, as the dict does.
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-def record(cls=None, /, *, frozen: bool = True):
-    """Class decorator: `@record` or `@record(frozen=False)`."""
-    if cls is None:
-        return lambda c: _build(c, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen: bool):
+def record(cls):
+    """Class decorator: `@record` on a class with annotated fields."""
     name = cls.__name__
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(fields)
@@ -78,14 +72,8 @@ def _build(cls, frozen: bool):
     def __delattr__(self, key):
         raise AttributeError(f"cannot delete field {key!r} of a frozen {name}")
 
-    methods = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__}
-    if frozen:
-        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
-    else:
-        methods["__hash__"] = None
-    for key, fn in methods.items():
-        if fn is not None:
-            fn.__qualname__ = f"{cls.__qualname__}.{key}"
-        setattr(cls, key, fn)
+    for fn in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+        setattr(cls, fn.__name__, fn)
     cls.__match_args__ = fields
     return cls

@@ -146,12 +146,6 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     return StabilityVerdict(NOT_WEAKLY_STABLE, lam, fixing_dim, cert)
 
 
-def destabilizer(f: HPoly) -> WeightVector | None:
-    """A nonzero trace-zero integer vector with all support weights >= 0,
-    strengthened to all positive when possible; None when f is stable."""
-    return classify_torus(f).destabilizer
-
-
 def oracle_classify(f: HPoly, box_bound: int) -> StabilityVerdict:
     """Classification by exhaustive enumeration of integer vectors in a box.
 

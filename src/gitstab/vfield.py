@@ -6,9 +6,8 @@ sum_ij a_ij gamma_i z_j z^(gamma - e_i).  Diagonal fields act on monomials
 with eigenvalue <lambda, gamma>; the rest of the module is about reducing a
 general field to that case: the additive semisimple/nilpotent splitting over
 the rationals, exact diagonalization when the eigenvalues are rational
-(decided by integer p-adic root finding, with no external algebra system), the
-truncated exponential of a nilpotent field, and linear changes of coordinates
-on polynomials.
+(decided by integer p-adic root finding, with no external algebra system), and
+linear changes of coordinates on polynomials.
 """
 
 from __future__ import annotations
@@ -64,10 +63,6 @@ class LinearVectorField:
         return len(self.rows)
 
     @property
-    def trace(self) -> Fraction:
-        return linalg.trace(self.rows)
-
-    @property
     def is_diagonal(self) -> bool:
         return all(
             not x for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j
@@ -97,9 +92,6 @@ class LinearVectorField:
 
     def __add__(self, other: "LinearVectorField") -> "LinearVectorField":
         return LinearVectorField(linalg.mat_add(self.rows, other.rows))
-
-    def __sub__(self, other: "LinearVectorField") -> "LinearVectorField":
-        return LinearVectorField(linalg.mat_sub(self.rows, other.rows))
 
 
 @record
@@ -332,28 +324,6 @@ def rational_diagonalize(v: LinearVectorField, psf: tuple | None = None):
     if conjugated != LinearVectorField.diagonal(weights).rows:
         raise RuntimeError("eigenbasis must diagonalize")
     return WeightVector(tuple(weights)), basis
-
-
-def exp_nilpotent_action(v: LinearVectorField, f: HPoly) -> tuple:
-    """Coefficients of the curve t -> exp(-tv) . f for a nilpotent field.
-
-    Returns (f_0, f_1, ..., f_N) with f_k = (-1)^k v^k(f) / k!; the sequence
-    is finite exactly because v is nilpotent.  f_0 is f itself.
-    """
-    if not v.is_nilpotent():
-        raise ValueError("field is not nilpotent")
-    seq = [f]
-    g: HPoly | None = f
-    k = 1
-    while True:
-        g = apply_derivation(v, seq[-1])
-        if g is None:
-            break
-        seq.append(HPoly(f.n_vars, {m: -c / k for m, c in g.terms.items()}))
-        k += 1
-        if k > v.n * f.degree + 2:
-            raise RuntimeError("nilpotent action failed to terminate")
-    return tuple(seq)
 
 
 def substitute_linear(f: HPoly, basis) -> HPoly:

@@ -92,19 +92,11 @@ class WeightVector:
         return ",".join(str(x) for x in self.values)
 
 
-@record(frozen=False)
+@record
 class WeightSpectrum:
     """Partition of a polynomial into constant-weight strata."""
 
     entries: dict  # Fraction -> HPoly
-
-    @property
-    def min_weight(self) -> Fraction:
-        return min(self.entries)
-
-    @property
-    def max_weight(self) -> Fraction:
-        return max(self.entries)
 
     def strata(self):
         """(weight, stratum) pairs in increasing weight order."""

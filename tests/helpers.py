@@ -97,7 +97,7 @@ def random_invertible(rng: Random, n: int, bound: int = 3):
 
 
 def naive_multiply(f: HPoly, g: HPoly) -> HPoly:
-    """Schoolbook product, written independently of poly.multiply."""
+    """Schoolbook product of two polynomials, for checking derivations."""
     acc = {}
     for ma, ca in f.terms.items():
         for mb, cb in g.terms.items():

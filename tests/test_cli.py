@@ -44,6 +44,15 @@ def test_parse_explicit_n_vars(capsys):
     assert code == 0 and payload["n_vars"] == 5
 
 
+def test_variable_count_gate(capsys):
+    # 256 variables is the limit, explicit or inferred from the highest index
+    code, payload = run_json(capsys, "parse", "-f", "z0*z255")
+    assert code == 0 and payload["n_vars"] == 256
+    for argv in (["stability", "-f", "z0*z1", "-n", "257"], ["stability", "-f", "z0*z256"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: n_vars must be at most 256, got 257\n")
+
+
 def test_parse_error_exits_two(capsys):
     code, out, err = run(capsys, "parse", "-f", "z0^2 + w1^2")
     assert code == 2 and out == "" and err.startswith("error:")
@@ -270,6 +279,17 @@ def test_corpus_rejects_a_non_integer_n_vars(capsys, tmp_path, n_vars):
     }
 
 
+def test_corpus_rejects_too_many_variables(capsys, tmp_path):
+    big = json.dumps({"f": "z0*z1", "n_vars": 257})
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join([big, _corpus_lines()[0]]) + "\n")
+    code, out, err = run(capsys, "corpus", str(path), "--workers", "1")
+    assert code == 2
+    rows = [json.loads(l) for l in out.splitlines()]
+    assert rows[0] == {"error": "n_vars must be at most 256, got 257", "line": big}
+    assert rows[1]["class"] == "stable"
+
+
 def test_corpus_parallel_matches_serial(capsys, tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("\n".join(_corpus_lines() * 3) + "\n")
@@ -304,6 +324,56 @@ def test_corpus_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(_corpus_lines()[0] + "\n"))
     code, out, err = run(capsys, "corpus", "-", "--workers", "1")
     assert code == 0 and json.loads(out)["class"] == "stable"
+
+
+def test_corpus_prints_each_row_when_it_is_ready(capsys, tmp_path, monkeypatch):
+    # A line that aborts the run must not take the rows before it along.
+    import gitstab.cli
+
+    real = gitstab.cli.classify_torus
+    calls = []
+
+    def third_line_runs_out_of_memory(f):
+        calls.append(f)
+        if len(calls) == 3:
+            raise MemoryError
+        return real(f)
+
+    monkeypatch.setattr(gitstab.cli, "classify_torus", third_line_runs_out_of_memory)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(_corpus_lines()) + "\n")
+    with pytest.raises(MemoryError):
+        main(["corpus", str(path), "--workers", "1"])
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["class"] for r in rows] == ["stable", "weakly_stable_not_stable"]
+
+
+def test_corpus_pool_never_outgrows_the_work(capsys, tmp_path, monkeypatch):
+    # A fake pool that maps inline: no process is started, whatever is asked.
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(_corpus_lines()) + "\n")
+    code, out, err = run(capsys, "corpus", str(path), "--workers", "1000000")
+    assert code == 0 and len(out.splitlines()) == 3
+    assert sizes == [3]
 
 
 def test_lp_debug_prints_pivots(capsys, tmp_path):

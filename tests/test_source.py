@@ -1,13 +1,16 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself and on the README's example."""
 
 import ast
 import glob
 import os
+import re
 import shutil
 import subprocess
 from collections import Counter
 
 import pytest
+
+from helpers import run_python
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PACKAGE = os.path.join(ROOT, "src", "gitstab")
@@ -103,11 +106,17 @@ def _referenced_names(node):
     return names
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_package_function_is_referenced():
-    # A module-level function that nothing calls, imports or names is dead
-    # code; the benchmark and the scripts count as users.
+    # A module-level function, method or property that nothing in the
+    # program calls, imports or names is dead code.  The package, the
+    # benchmark and the scripts count as users, and so does a name listed in
+    # `__all__`; a test alone does not keep code alive.
     paths = []
-    for folder in ("src", "scripts", "perfbench", "tests"):
+    for folder in ("src", "scripts", "perfbench"):
         paths += glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True)
     used = Counter()
     functions = []
@@ -116,11 +125,17 @@ def test_every_package_function_is_referenced():
             tree = ast.parse(fh.read(), filename=path)
         used += _referenced_names(tree)
         if os.path.dirname(os.path.abspath(path)) == os.path.abspath(PACKAGE):
-            functions += [
-                (os.path.basename(path), node)
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            ]
+            where = os.path.basename(path)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions.append((where, node))
+                elif isinstance(node, ast.ClassDef):
+                    functions += [
+                        (f"{where}:{node.name}", sub)
+                        for sub in node.body
+                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not _is_dunder(sub.name)
+                    ]
     assert functions, "package sources not found"
     unused = [
         f"{where}:{node.name}"
@@ -128,3 +143,12 @@ def test_every_package_function_is_referenced():
         if used[node.name] <= _referenced_names(node)[node.name]
     ]
     assert unused == []
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    assert len(blocks) == 1, "README should have one python block"
+    out = run_python("-c", blocks[0], timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["3", "z0*z1^2 + z2^2*z3 - z2*z3^2", "-8", "True"]

@@ -12,7 +12,6 @@ from gitstab.stability import (
     WEAKLY_STABLE_NOT_STABLE,
     StabilityVerdict,
     classify_torus,
-    destabilizer,
     oracle_classify,
     verdicts_consistent,
 )
@@ -69,12 +68,6 @@ def test_semi_but_not_strict_witness():
     assert w.classification == NOT_WEAKLY_STABLE
     assert w.certificate_mu == 0
     assert w.destabilizer is not None
-
-
-def test_destabilizer_wrapper():
-    assert destabilizer(hp("z0^3 + z1^3 + z2^3 + z3^3", 4)) is None
-    lam = destabilizer(hp("z0^3", 4))
-    assert lam is not None and mu(lam, hp("z0^3", 4)) > 0
 
 
 def test_json_shape():

@@ -6,14 +6,13 @@ from random import Random
 import pytest
 
 from gitstab import linalg
-from gitstab.poly import parse_poly, print_poly
+from gitstab.poly import parse_poly
 from gitstab.vfield import (
     LinearVectorField,
     _rational_roots,
     _squarefree_mod,
     apply_derivation,
     chevalley_split,
-    exp_nilpotent_action,
     invariance,
     parse_field,
     rational_diagonalize,
@@ -366,29 +365,6 @@ def test_rational_roots_against_sympy():
         assert _rational_roots(psf) == want
         verdicts.add(want is None)
     assert verdicts == {True, False}
-
-
-def test_exp_nilpotent_golden():
-    v = LinearVectorField.from_rows([[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4])
-    seq = exp_nilpotent_action(v, hp("z0*z1^2", 4))
-    assert [print_poly(g) for g in seq] == ["z0*z1^2", "- z1^3"]
-    assert exp_nilpotent_action(v, hp("z1^3", 4)) == (hp("z1^3", 4),)
-
-
-def test_exp_nilpotent_rejects_semisimple():
-    with pytest.raises(ValueError):
-        exp_nilpotent_action(LinearVectorField.diagonal([1, -1]), hp("z0*z1", 2))
-
-
-def test_exp_nilpotent_taylor_coefficients():
-    # second order: f2 = v(v(f))/2
-    v = LinearVectorField.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    f = hp("z0^2*z2", 3)
-    seq = exp_nilpotent_action(v, f)
-    vf = apply_derivation(v, f)
-    vvf = apply_derivation(v, vf)
-    assert seq[1].terms == {m: -c for m, c in vf.terms.items()}
-    assert seq[2].terms == {m: c / 2 for m, c in vvf.terms.items()}
 
 
 def test_substitute_linear_golden():
