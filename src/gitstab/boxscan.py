@@ -40,14 +40,10 @@ class BoxScanResult:
     zero_weight_count: int
 
 
-def candidate_count(n_vars: int, bound: int) -> int:
-    return (2 * bound + 1) ** n_vars
-
-
 def check_box_size(n_vars: int, bound: int):
     if bound < 1:
         raise ValueError(f"enumeration bound must be positive, got {bound}")
-    count = candidate_count(n_vars, bound)
+    count = (2 * bound + 1) ** n_vars
     if count > MAX_CANDIDATES:
         raise ValueError(
             f"enumeration box has {count} candidates, above the {MAX_CANDIDATES} limit"

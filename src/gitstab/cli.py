@@ -5,7 +5,8 @@ stability classification with optional basis changes, destabilizer search,
 Futaki evaluation, degeneration families, the stability/Futaki cross-check,
 and a JSONL corpus runner.  Exit codes: 0 success or stable, 2 parse or
 validation error, 3 weakly stable but not stable, 4 not weakly stable,
-5 cross-check disagreement.
+5 cross-check disagreement, 6 internal error (a check of the program's own
+results failed; the message says which).
 
 Set GITSTAB_LOG=DEBUG (or INFO, ...) for diagnostics on stderr.
 """
@@ -32,6 +33,7 @@ from .weights import WeightVector, mu, weight_spectrum, limit_poly
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 5
+EXIT_INTERNAL = 6
 
 # linalg.nullspace builds n - rank vectors of length n, so classifying a form
 # in n variables costs about n^2 work and memory; larger inputs are refused.
@@ -412,6 +414,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # PolyParseError, JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

@@ -53,11 +53,6 @@ def mat(rows) -> tuple:
     return out
 
 
-def identity(n: int) -> tuple:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def zero_matrix(n: int, m: int | None = None) -> tuple:
     m = n if m is None else m
     zero = Fraction(0)
@@ -141,19 +136,14 @@ def rref(rows):
     return [tuple(row) for row in m], pivots
 
 
-def nullspace(rows, n_cols: int | None = None):
-    """Deterministic basis of the right kernel of the row system.
+def nullspace(rows):
+    """Deterministic basis of the right kernel of a nonempty row system.
 
     Each basis vector carries a 1 in one free column; vectors are ordered by
     increasing free column index.
     """
     rows = list(rows)
-    if rows:
-        n_cols = len(rows[0])
-    if n_cols is None:
-        raise ValueError("n_cols required for an empty system")
-    if not rows:
-        return [tuple(identity(n_cols)[i]) for i in range(n_cols)]
+    n_cols = len(rows[0])
     red, pivots = rref(rows)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []

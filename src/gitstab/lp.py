@@ -229,6 +229,6 @@ def _verify_ray(program: LinearProgram, d):
             raise RuntimeError(f"unbounded ray leaves the recession cone at {row} {rel} 0")
 
 
-def kernel(rows, n_cols: int | None = None):
+def kernel(rows):
     """Deterministic rational basis of {x : row . x = 0 for all rows}."""
-    return linalg.nullspace(rows, n_cols)
+    return linalg.nullspace(rows)

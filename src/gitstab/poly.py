@@ -125,7 +125,7 @@ def scale(f: HPoly, c) -> HPoly:
     return HPoly(f.n_vars, {m: c * v for m, v in f.terms.items()})
 
 
-def _mul_maps(a: Mapping, b: Mapping, n_vars: int) -> dict:
+def _mul_maps(a: Mapping, b: Mapping) -> dict:
     """Convolution of two raw term maps (not necessarily homogeneous)."""
     out: dict = {}
     for ma, ca in a.items():

@@ -83,27 +83,30 @@ def _sorted_support(f: HPoly) -> list:
     return sorted(support(f), reverse=True)
 
 
-def _validate_destabilizer(f: HPoly, lam: WeightVector, expect_positive: bool):
-    if lam.trace != 0:
-        raise RuntimeError("destabilizer must be trace-zero")
-    if not lam.is_integral:
-        raise RuntimeError("destabilizer must be integral")
-    if lam.is_zero:
-        raise RuntimeError("destabilizer must be nonzero")
-    ws = [lam.dot(g) for g in f.terms]
-    if any(w < 0 for w in ws):
-        raise RuntimeError("destabilizer weights must be non-negative")
-    if expect_positive and min(ws) <= 0:
-        raise RuntimeError("strict destabilizer must have positive minimum weight")
+# What the support weights of each kind of witness must satisfy.
+_WEIGHT_TESTS = {
+    "fixing": lambda ws: not any(ws),
+    "semi": lambda ws: min(ws) >= 0 and any(ws),
+    "strict": lambda ws: min(ws) > 0,
+}
 
 
-def _fixing_certificate(f: HPoly, basis_vec) -> WeightVector:
-    lam = WeightVector.from_values(basis_vec).primitive_integer()
-    if lam.trace != 0 or lam.is_zero:
-        raise RuntimeError("fixing vector must be nonzero and trace-zero")
-    if any(lam.dot(g) for g in f.terms):
-        raise RuntimeError("fixing vector must annihilate all weights")
-    return lam
+def _verdict(f: HPoly, fixing_dim: int, box_bound, kind=None, witness=None) -> StabilityVerdict:
+    """The verdict a witness of the given kind proves; with no kind, stable.
+
+    This is the one witness check of both classifiers: made a primitive
+    integer vector, the witness must be nonzero and trace-zero, and its
+    support weights must all vanish (fixing), be non-negative with one
+    positive (semi) or all be positive (strict).
+    """
+    if kind is None:
+        return StabilityVerdict(STABLE, None, 0, None, box_bound)
+    lam = WeightVector.from_values(witness).primitive_integer()
+    if lam.is_zero or lam.trace != 0 or not _WEIGHT_TESTS[kind]([lam.dot(g) for g in f.terms]):
+        raise RuntimeError(f"{kind} witness {lam} fails the witness check")
+    if kind == "fixing":
+        return StabilityVerdict(WEAKLY_STABLE_NOT_STABLE, lam, fixing_dim, Fraction(0), box_bound)
+    return StabilityVerdict(NOT_WEAKLY_STABLE, lam, fixing_dim, mu(lam, f), box_bound)
 
 
 def classify_torus(f: HPoly) -> StabilityVerdict:
@@ -111,7 +114,7 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     gammas = _sorted_support(f)
     n = f.n_vars
     ones = tuple(Fraction(1) for _ in range(n))
-    fixing_basis = lp.kernel([ones] + gammas, n)
+    fixing_basis = lp.kernel([ones] + gammas)
     fixing_dim = len(fixing_basis)
 
     total = tuple(sum(Fraction(g[i]) for g in gammas) for i in range(n))
@@ -125,9 +128,8 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     if out.value == 0:
         # Every lambda in C has all weights zero, so C = L.
         if fixing_dim == 0:
-            return StabilityVerdict(STABLE, None, 0, None)
-        lam = _fixing_certificate(f, fixing_basis[0])
-        return StabilityVerdict(WEAKLY_STABLE_NOT_STABLE, lam, fixing_dim, Fraction(0))
+            return _verdict(f, 0, None)
+        return _verdict(f, fixing_dim, None, "fixing", fixing_basis[0])
 
     # C is strictly larger than L; try to strengthen the witness to mu > 0.
     m_col = tuple(Fraction(int(i == n)) for i in range(n + 1))
@@ -138,12 +140,11 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     if out2.status != lp.OPTIMAL or out2.value not in (0, 1):
         raise RuntimeError("strict cone program must optimize at 0 or at the cap")
 
-    witness = out2.witness[:n] if out2.value == 1 else out.witness
-    lam = WeightVector.from_values(witness).primitive_integer()
-    _validate_destabilizer(f, lam, expect_positive=(out2.value == 1))
-    cert = mu(lam, f)
-    log.debug("destabilizer %s with mu=%s (strict=%s)", lam, cert, out2.value == 1)
-    return StabilityVerdict(NOT_WEAKLY_STABLE, lam, fixing_dim, cert)
+    kind, witness = ("strict", out2.witness[:n]) if out2.value == 1 else ("semi", out.witness)
+    v = _verdict(f, fixing_dim, None, kind, witness)
+    msg = "destabilizer %s with mu=%s (strict=%s)"
+    log.debug(msg, v.destabilizer, v.certificate_mu, kind == "strict")
+    return v
 
 
 def oracle_classify(f: HPoly, box_bound: int) -> StabilityVerdict:
@@ -155,19 +156,11 @@ def oracle_classify(f: HPoly, box_bound: int) -> StabilityVerdict:
     """
     gammas = _sorted_support(f)
     res = boxscan.scan_box(gammas, f.n_vars, box_bound)
-    if res.strict is not None or res.semi is not None:
-        chosen = res.strict if res.strict is not None else res.semi
-        lam = WeightVector.from_values(chosen).primitive_integer()
-        _validate_destabilizer(f, lam, expect_positive=res.strict is not None)
-        return StabilityVerdict(
-            NOT_WEAKLY_STABLE, lam, res.fixing_rank, mu(lam, f), box_bound
-        )
-    if res.fixing_rank > 0:
-        lam = _fixing_certificate(f, res.fixing_basis[0])
-        return StabilityVerdict(
-            WEAKLY_STABLE_NOT_STABLE, lam, res.fixing_rank, Fraction(0), box_bound
-        )
-    return StabilityVerdict(STABLE, None, 0, None, box_bound)
+    fixing = res.fixing_basis[0] if res.fixing_rank else None
+    for kind, witness in (("strict", res.strict), ("semi", res.semi), ("fixing", fixing)):
+        if witness is not None:
+            return _verdict(f, res.fixing_rank, box_bound, kind, witness)
+    return _verdict(f, 0, box_bound)
 
 
 def verdicts_consistent(exact: StabilityVerdict, boxed: StabilityVerdict, bound: int) -> bool:

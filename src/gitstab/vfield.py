@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import accumulate
+from math import comb, gcd, isqrt
 
 from . import linalg
 from .linalg import frac
@@ -25,6 +26,10 @@ from .weights import WeightVector
 # Newton iteration doubles the nilpotency order it has corrected for, so even
 # with every safety margin this cap is far beyond what dimension <= 16 needs.
 _NEWTON_CAP = 24
+
+# Refuse substitutions whose expansion takes more coefficient products than
+# this; each costs a few microseconds of Fraction arithmetic.
+MAX_SUBSTITUTION_WORK = 200_000
 
 
 @record
@@ -332,6 +337,19 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
     n = f.n_vars
     if len(p) != n:
         raise ValueError(f"basis matrix is {len(p)}x{len(p[0]) if p else 0}, expected {n}x{n}")
+    # Coefficient products of the expansion below for a dense basis: the
+    # powers of the linear forms, then each monomial's partial products.  The
+    # power e of a linear form has size(e) terms.
+    max_exp = [max(m[i] for m in f.terms) for i in range(n)]
+    size = lambda e: comb(e + n - 1, n - 1)
+    work = n * sum(comb(e + n - 1, n) for e in max_exp) + sum(
+        size(d - e) * size(e) for m in f.terms for d, e in zip(accumulate(m), m) if e
+    )
+    if work > MAX_SUBSTITUTION_WORK:
+        raise ValueError(
+            f"substitution needs about {work} coefficient products, "
+            f"above the {MAX_SUBSTITUTION_WORK} limit"
+        )
     linalg.mat_inv(p)  # raises ValueError when singular
     zero_mono = tuple([0] * n)
     forms = []
@@ -342,19 +360,18 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
             if p[i][j]
         }
         forms.append(row)
-    max_exp = [max((m[i] for m in f.terms), default=0) for i in range(n)]
     powers = []
     for i in range(n):
         pw = [{zero_mono: Fraction(1)}]
         for _ in range(max_exp[i]):
-            pw.append(_mul_maps(pw[-1], forms[i], n))
+            pw.append(_mul_maps(pw[-1], forms[i]))
         powers.append(pw)
     out: dict = {}
     for mono, c in f.terms.items():
         term = {zero_mono: c}
         for i, e in enumerate(mono):
             if e:
-                term = _mul_maps(term, powers[i][e], n)
+                term = _mul_maps(term, powers[i][e])
         for m, v in term.items():
             s = out.get(m, Fraction(0)) + v
             if s:

@@ -28,10 +28,6 @@ class WeightVector:
         return cls(tuple(frac(x) for x in values))
 
     @classmethod
-    def zero(cls, n_vars: int) -> "WeightVector":
-        return cls(tuple(Fraction(0) for _ in range(n_vars)))
-
-    @classmethod
     def parse(cls, text: str) -> "WeightVector":
         """Parse a comma-separated list like '-7,5,1,1' or '-1/2,1/2,0,0'."""
         parts = [p.strip() for p in text.split(",")]

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -318,6 +319,35 @@ def test_corpus_internal_error_stays_on_its_line(capsys, tmp_path, monkeypatch):
     assert len(rows) == 3
     assert rows[0]["class"] == "stable" and rows[2]["class"] == "not_weakly_stable"
     assert rows[1] == {"error": "internal check failed", "line": lines[1]}
+
+
+def test_internal_error_exits_six(capsys, monkeypatch):
+    import gitstab.cli
+
+    def faulty(f):
+        raise RuntimeError("internal check failed")
+
+    monkeypatch.setattr(gitstab.cli, "classify_torus", faulty)
+    code, out, err = run(capsys, "stability", "-f", FERMAT)
+    assert (code, out, err) == (6, "", "internal error: internal check failed\n")
+
+
+def test_oversized_basis_change_exits_two_quickly(capsys):
+    # Expanding z0^800 + z1^800 in the swap field's eigenbasis took 11 s
+    # before the substitution was bounded.
+    big = "z0^800 + z1^800"
+    for argv in (
+        ("degenerate", "-f", big, "--field", "[[0,1],[1,0]]"),
+        ("stability", "-f", big, "--basis", "[[1,1],[1,-1]]"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err == (
+            "error: substitution needs about 1283202 coefficient products, "
+            "above the 200000 limit\n"
+        )
 
 
 def test_corpus_from_stdin(capsys, monkeypatch):

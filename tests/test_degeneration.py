@@ -58,7 +58,7 @@ def test_fermat_family_golden():
 
 def test_zero_weights_give_trivial_family():
     f = hp(UNSTABLE_CUBIC, 4)
-    rep = from_destabilizer(f, WeightVector.zero(4))
+    rep = from_destabilizer(f, WeightVector.from_values([0] * 4))
     assert rep.trivial
     assert rep.family.strata == {0: f}
     assert rep.special_fiber == f

@@ -71,10 +71,6 @@ def test_validation_errors():
 def test_kernel_golden():
     basis = kernel([(1, 1, 1, 1), (1, 2, 0, 0)])
     assert len(basis) == 2
-    basis2 = kernel([], 2)
-    assert basis2 == [(1, 0), (0, 1)]
-    with pytest.raises(ValueError):
-        kernel([])
 
 
 # -- randomized cross-checks ------------------------------------------------

@@ -145,6 +145,24 @@ def test_every_package_function_is_referenced():
     assert unused == []
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # `perfbench/run.py --trace 1` wraps package functions by name from
+    # outside; a missing name fails its install.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r})\n"
+        "import tracer\n"
+        "t = tracer.Tracer(spans=False)\n"
+        "t.install()\n"
+        "t.uninstall()\n"
+        "import gitstab.boxscan\n"
+        "print(gitstab.boxscan.HAVE_COMPILED)\n"
+    )
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_readme_library_example_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)

@@ -162,22 +162,61 @@ def test_permutation_equivariance():
                 assert (vf.certificate_mu > 0) == (min(ws) > 0)
 
 
+_BOGUS_WITNESSES = """\
+import sys
+from gitstab.poly import parse_poly
+from gitstab.stability import _verdict
+
+cases = [
+    ("z0^2 + z0*z1", "semi", (0, 0)),  # the zero vector
+    ("z0^2 + z0*z1", "semi", (5, 3)),  # not trace-zero
+    ("z0^2 + z0*z1", "fixing", (1, -1)),  # moves z0^2
+    ("z0^2 + z0*z1", "semi", (-1, 1)),  # weight -2 on z0^2
+    ("z0*z1", "semi", (1, -1)),  # every weight zero
+    ("z0^2 + z0*z1", "strict", (1, -1)),  # weight 0 on z0*z1
+]
+print(sys.flags.optimize)
+for text, kind, witness in cases:
+    try:
+        _verdict(parse_poly(text, 2), 0, None, kind, witness)
+    except RuntimeError as exc:
+        print(exc)
+"""
+
+
 def test_bogus_destabilizer_rejected_under_optimize():
-    # The checks must not be asserts: python -O would strip them.
-    script = (
-        "import sys\n"
-        "from gitstab.poly import parse_poly\n"
-        "from gitstab.stability import _validate_destabilizer\n"
-        "from gitstab.weights import WeightVector\n"
-        "f = parse_poly('z0^2+z1^2', 2)\n"
-        "try:\n"
-        "    _validate_destabilizer(f, WeightVector.parse('5,3'), expect_positive=False)\n"
-        "except RuntimeError as exc:\n"
-        "    print(sys.flags.optimize, exc)\n"
-    )
-    proc = run_python("-O", "-c", script)
+    # The one witness check must not be an assert: python -O would strip it.
+    proc = run_python("-O", "-c", _BOGUS_WITNESSES)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split(maxsplit=1) == ["1", "destabilizer must be trace-zero\n"]
+    assert proc.stdout.splitlines() == [
+        "1",
+        "semi witness 0,0 fails the witness check",
+        "semi witness 5,3 fails the witness check",
+        "fixing witness 1,-1 fails the witness check",
+        "semi witness -1,1 fails the witness check",
+        "semi witness 1,-1 fails the witness check",
+        "strict witness 1,-1 fails the witness check",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, text, n_vars",
+    [
+        ("fixing", "z0*z1 + z2*z3", 4),
+        ("semi", "z0^2 + z0*z1", 2),
+        ("strict", "z0^3 + z0^2*z1", 2),
+    ],
+)
+def test_both_classifiers_check_witnesses_in_one_place(monkeypatch, kind, text, n_vars):
+    # With the check for one kind of witness made to fail, the LP and the
+    # box classifier both raise on a form whose verdict rests on that kind.
+    import gitstab.stability
+
+    monkeypatch.setitem(gitstab.stability._WEIGHT_TESTS, kind, lambda ws: False)
+    f = hp(text, n_vars)
+    for classify in (classify_torus, lambda f: oracle_classify(f, 2)):
+        with pytest.raises(RuntimeError, match=f"{kind} witness .* fails the witness check"):
+            classify(f)
 
 
 def test_configured_logging_receives_debug_record(caplog):

@@ -303,7 +303,7 @@ from gitstab.vfield import LinearVectorField, _rational_roots, rational_diagonal
 calls = [
     lambda: _rational_roots((1, -2, 1)),  # (x - 1)^2
     lambda: _rational_roots((0, 0, 1, 1)),  # x^2 (x + 1)
-    lambda: rational_diagonalize(LinearVectorField(linalg.identity(2)), psf=(1, -2, 1)),
+    lambda: rational_diagonalize(LinearVectorField(((1, 0), (0, 1))), psf=(1, -2, 1)),
 ]
 for call in calls:
     try:
@@ -392,6 +392,16 @@ def test_substitute_linear_functorial():
         )
         inv = linalg.mat_inv(a)
         assert substitute_linear(substitute_linear(f, a), inv) == f
+
+
+def test_substitute_linear_expands_a_six_variable_quartic():
+    # The work bound leaves room for every input the benchmark substitutes;
+    # the first substitution makes the form dense, the second undoes it.
+    rng = Random(44)
+    f = random_hpoly(rng, 6, 4, 12)
+    a = random_invertible(rng, 6, 2)
+    g = substitute_linear(f, a)
+    assert substitute_linear(g, linalg.mat_inv(a)) == f
 
 
 def test_parse_field():

@@ -26,7 +26,7 @@ def test_vector_helpers():
     assert tuple(lam.trace_zero().primitive_integer()) == (-7, 5, 1, 1)
     assert tuple(lam.scaled(Fraction(1, 2))) == (-12, 6, 0, 0)
     assert tuple(lam.shifted(1)) == (-23, 13, 1, 1)
-    assert WeightVector.zero(3).is_zero
+    assert WeightVector.from_values([0, 0, 0]).is_zero
     assert not lam.is_zero
     with pytest.raises(ValueError):
         WeightVector.parse("1/2,0").as_ints()
@@ -36,7 +36,7 @@ def test_mu_golden():
     f = hp("z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3", 4)
     lam = WeightVector.parse("-7,5,1,1")
     assert mu(lam, f) == 3
-    assert mu(WeightVector.zero(4), f) == 0
+    assert mu(WeightVector.from_values([0] * 4), f) == 0
 
 
 def test_mu_dimension_mismatch():
