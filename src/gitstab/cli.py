@@ -27,7 +27,7 @@ from .lazylog import configure_on_first_use
 from .linalg import frac, mat_inv
 from .poly import HPoly, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, classify_torus
-from .vfield import parse_field, substitute_linear
+from .vfield import parse_field, parse_matrix, substitute_linear
 from .weights import WeightVector, mu, weight_spectrum, limit_poly
 
 EXIT_OK = 0
@@ -75,15 +75,7 @@ def _emit(args, payload: dict, human_lines):
 
 
 def _parse_basis(text: str, n: int):
-    try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed basis matrix: {exc}") from None
-    if not isinstance(rows, list) or len(rows) != n or any(
-        not isinstance(r, list) or len(r) != n for r in rows
-    ):
-        raise ValueError(f"basis must be a {n}x{n} JSON array of arrays")
-    basis = tuple(tuple(frac(x) for x in r) for r in rows)
+    basis = parse_matrix(text, n, "basis")
     mat_inv(basis)  # raises ValueError when singular
     return basis
 
@@ -293,7 +285,10 @@ def cmd_corpus(args) -> int:
 
 def _load_program(path) -> lp.LinearProgram:
     with open(path) as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"malformed program: {exc}") from None
     if not isinstance(spec, dict) or not {"objective", "constraints"} <= spec.keys():
         raise ValueError("program must be a JSON object with 'objective' and 'constraints'")
     objective, constraints = spec["objective"], spec["constraints"]

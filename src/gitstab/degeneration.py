@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from . import boxscan, poly, stability
+from . import boxscan, linalg, poly, stability
 from .futaki import FutakiValue, check_fano_range, futaki_from_kappa, futaki_of_limit
 from .lazylog import LazyLogger
 from .poly import HPoly
@@ -45,7 +45,6 @@ from .vfield import (
     apply_derivation,
     chevalley_split,
     rational_diagonalize,
-    squarefree_charpoly,
     substitute_linear,
 )
 from .weights import WeightVector, mu, weight_spectrum
@@ -128,7 +127,7 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
         f_work = f
         basis = None
     else:
-        psf = squarefree_charpoly(v)
+        psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))
         semi, nil = chevalley_split(v, psf)
         if not nil.is_zero and apply_derivation(nil, f) is not None:
             raise DegenerationError(

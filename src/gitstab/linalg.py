@@ -42,25 +42,16 @@ def frac(x) -> Fraction:
     raise ValueError(f"cannot interpret {x!r} as a rational number")
 
 
-def vec(values) -> tuple:
-    return tuple(frac(x) for x in values)
-
-
 def mat(rows) -> tuple:
-    out = tuple(vec(r) for r in rows)
+    out = tuple(tuple(frac(x) for x in r) for r in rows)
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
 
 
-def zero_matrix(n: int, m: int | None = None) -> tuple:
-    m = n if m is None else m
+def zero_matrix(n: int) -> tuple:
     zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(m)) for _ in range(n))
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(zero for _ in range(n)) for _ in range(n))
 
 
 def mat_sub(a, b):
@@ -76,10 +67,6 @@ def mat_shift(a, c):
 def mat_mul(a, b):
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
-
-
-def transpose(a):
-    return tuple(zip(*a))
 
 
 def is_zero_matrix(a) -> bool:

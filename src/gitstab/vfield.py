@@ -7,7 +7,10 @@ with eigenvalue <lambda, gamma>; the rest of the module is about reducing a
 general field to that case: the additive semisimple/nilpotent splitting over
 the rationals, exact diagonalization when the eigenvalues are rational
 (decided by integer p-adic root finding, with no external algebra system), and
-linear changes of coordinates on polynomials.
+linear changes of coordinates on polynomials.  The splitting and the
+diagonalization take the squarefree characteristic factor from their caller,
+which computes it once per field.  `parse_matrix` is the one reader of n x n
+JSON matrices (a field, a basis); every malformed one is a ValueError.
 """
 
 from __future__ import annotations
@@ -45,10 +48,6 @@ class LinearVectorField:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_rows(cls, rows) -> "LinearVectorField":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
     def diagonal(cls, values) -> "LinearVectorField":
         vals = [frac(x) for x in values]
         n = len(vals)
@@ -58,10 +57,6 @@ class LinearVectorField:
                 for i in range(n)
             )
         )
-
-    @classmethod
-    def zero(cls, n: int) -> "LinearVectorField":
-        return cls(linalg.zero_matrix(n))
 
     @property
     def n(self) -> int:
@@ -95,9 +90,6 @@ class LinearVectorField:
             (i, j, x) for i, row in enumerate(self.rows) for j, x in enumerate(row) if x
         ]
 
-    def __add__(self, other: "LinearVectorField") -> "LinearVectorField":
-        return LinearVectorField(linalg.mat_add(self.rows, other.rows))
-
 
 @record
 class InvarianceResult:
@@ -105,20 +97,27 @@ class InvarianceResult:
     kappa: Fraction | None
 
 
-def parse_field(text: str, n_vars: int | None = None) -> LinearVectorField:
-    """Parse 'diag:w0,w1,...' or a JSON array of rows of rationals."""
+def parse_matrix(text: str, n: int, what: str) -> tuple:
+    """An n x n matrix of rationals from a JSON array of rows; every failure
+    is a ValueError naming `what`."""
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"malformed {what} matrix: {exc}") from None
+    if not isinstance(rows, list) or len(rows) != n or any(
+        not isinstance(r, list) or len(r) != n for r in rows
+    ):
+        raise ValueError(f"{what} must be a {n}x{n} JSON array of arrays")
+    return linalg.mat(rows)
+
+
+def parse_field(text: str, n_vars: int) -> LinearVectorField:
+    """Parse 'diag:w0,w1,...' or an n_vars x n_vars JSON matrix of rationals."""
     text = text.strip()
-    if text.startswith("diag:"):
-        v = LinearVectorField.diagonal(WeightVector.parse(text[5:]).values)
-    else:
-        try:
-            rows = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed field matrix: {exc}") from None
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError("field matrix must be a JSON array of arrays")
-        v = LinearVectorField.from_rows(rows)
-    if n_vars is not None and v.n != n_vars:
+    if not text.startswith("diag:"):
+        return LinearVectorField(parse_matrix(text, n_vars, "field"))
+    v = LinearVectorField.diagonal(WeightVector.parse(text[5:]).values)
+    if v.n != n_vars:
         raise ValueError(f"field acts on {v.n} variables, expected {n_vars}")
     return v
 
@@ -167,18 +166,13 @@ def invariance(v: LinearVectorField, f: HPoly) -> InvarianceResult:
     return InvarianceResult(True, kappa)
 
 
-def squarefree_charpoly(v: LinearVectorField) -> tuple:
-    """The squarefree part p* of the characteristic polynomial of v."""
-    return linalg.poly_squarefree_part(linalg.charpoly(v.rows))
-
-
-def chevalley_split(v: LinearVectorField, psf: tuple | None = None) -> tuple:
+def chevalley_split(v: LinearVectorField, psf: tuple) -> tuple:
     """Additive decomposition v = s + n over the rationals.
 
     s is semisimple (its minimal polynomial is squarefree), n is nilpotent,
     and the two commute; both are polynomials in v, which is what the Newton
-    iteration below computes.  Let p* be the squarefree part of the
-    characteristic polynomial (pass it as psf when it is already known).
+    iteration below computes.  psf is p*, the squarefree part of the
+    characteristic polynomial of v.
     Starting from v itself, the update x <- x - p*(x) * p*'(x)^{-1} stays
     inside the commutative algebra Q[v] and converges quadratically to the
     unique root of p* congruent to v modulo nilpotents.  Everything is exact,
@@ -187,8 +181,6 @@ def chevalley_split(v: LinearVectorField, psf: tuple | None = None) -> tuple:
     the same characteristic polynomial, so p* is also that of s.
     """
     a = v.rows
-    if psf is None:
-        psf = squarefree_charpoly(v)
     dpsf = linalg.poly_derivative(psf)
     s = a
     for _ in range(_NEWTON_CAP):
@@ -200,7 +192,7 @@ def chevalley_split(v: LinearVectorField, psf: tuple | None = None) -> tuple:
     else:
         raise RuntimeError("Newton iteration for the semisimple part did not converge")
     if s is a:
-        return v, LinearVectorField.zero(v.n)
+        return v, LinearVectorField(linalg.zero_matrix(v.n))
     n = linalg.mat_sub(a, s)
     semi = LinearVectorField(s)
     nil = LinearVectorField(n)
@@ -294,25 +286,19 @@ def _rational_roots(psf):
     return sorted(roots, reverse=True)
 
 
-def rational_diagonalize(v: LinearVectorField, psf: tuple | None = None):
+def rational_diagonalize(v: LinearVectorField, psf: tuple):
     """Diagonalize a semisimple field over Q, if its eigenvalues are rational.
 
-    Returns (weights, basis_matrix) with basis_matrix columns an eigenbasis
-    ordered by decreasing eigenvalue, or None when the characteristic
-    polynomial has an irrational factor (the field is then unsupported here,
-    not an error).  Raises ValueError when v is not semisimple.
-
-    A caller that already holds the squarefree characteristic factor psf and
-    knows psf(v) = 0 (the semisimple part from chevalley_split) passes it to
-    skip recomputing and re-testing it; the eigenspace-dimension and
-    conjugation checks below certify the returned basis either way.
+    psf is the squarefree characteristic factor with psf(v) = 0 (v is the
+    semisimple part from chevalley_split).  Returns (weights, basis_matrix)
+    with basis_matrix columns an eigenbasis ordered by decreasing eigenvalue,
+    or None when psf has an irrational factor (the field is then unsupported
+    here, not an error).  The eigenspace-dimension and conjugation checks
+    below certify the returned basis; they raise RuntimeError when v is not
+    semisimple.
     """
     a = v.rows
     n = v.n
-    if psf is None:
-        psf = squarefree_charpoly(v)
-        if not linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, a)):
-            raise ValueError("field is not semisimple; split off the nilpotent part first")
     roots = _rational_roots(psf)
     if roots is None:
         return None
@@ -324,7 +310,7 @@ def rational_diagonalize(v: LinearVectorField, psf: tuple | None = None):
             weights.append(r)
     if len(weights) != n:
         raise RuntimeError("eigenspace dimensions must sum to the ambient dimension")
-    basis = linalg.transpose(tuple(cols))
+    basis = tuple(zip(*cols))
     conjugated = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(a, basis))
     if conjugated != LinearVectorField.diagonal(weights).rows:
         raise RuntimeError("eigenbasis must diagonalize")

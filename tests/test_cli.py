@@ -503,6 +503,35 @@ def test_malformed_matrix_entries_exit_two(capsys, tmp_path, entry, shown):
     assert code == 2 and out == "" and err.startswith("error:") and message in err
 
 
+# Nested far past the interpreter's recursion limit; argv cannot carry this
+# much, so these run in-process.
+_TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_json_nested_too_deep_exits_two(capsys, tmp_path):
+    path = tmp_path / "program.json"
+    path.write_text(_TOO_DEEP)
+    for argv in (
+        ("degenerate", "-f", "z0^3 + z1^3", "--field", _TOO_DEEP),
+        ("stability", "-f", "z0^2 + z1^2", "--basis", _TOO_DEEP),
+        ("lp-debug", str(path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "recursion" in err, argv
+
+
+def test_corpus_row_nested_too_deep_stays_on_its_line(capsys, monkeypatch):
+    good = _corpus_lines()[0]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{_TOO_DEEP}\n{good}\n"))
+    code, out, err = run(capsys, "corpus", "-", "--workers", "1")
+    assert code == 2 and err == ""
+    rows = [json.loads(l) for l in out.splitlines()]
+    assert len(rows) == 2 and rows[0]["line"] == _TOO_DEEP
+    assert "recursion" in rows[0]["error"]
+    assert rows[1]["class"] == "stable"
+
+
 def test_stability_run_imports_no_multiprocessing():
     script = (
         "import sys\n"

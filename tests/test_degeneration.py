@@ -114,7 +114,7 @@ def test_jordan_block_fixing_polynomial_degenerates():
     # the nilpotent part moves z0 only, and f does not involve z0, so the
     # split passes and the semisimple part drives the family
     f = hp("z1^3 + z2^3 + z3^3", 4)
-    v = LinearVectorField.from_rows(
+    v = LinearVectorField(
         [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -2]]
     )
     rep = build_degeneration(f, v)
@@ -128,7 +128,7 @@ def test_jordan_block_fixing_polynomial_degenerates():
 
 def test_swap_field_goes_through_an_eigenbasis():
     f = hp(FERMAT, 4)
-    v = LinearVectorField.from_rows(
+    v = LinearVectorField(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
     rep = build_degeneration(f, v)
@@ -144,7 +144,7 @@ def test_swap_field_goes_through_an_eigenbasis():
 
 def test_nilpotent_part_moving_f_is_rejected():
     f = hp("z0*z1^2 + z2^2*z3", 4)
-    v = LinearVectorField.from_rows(
+    v = LinearVectorField(
         [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
     with pytest.raises(DegenerationError, match="nilpotent"):
@@ -153,7 +153,7 @@ def test_nilpotent_part_moving_f_is_rejected():
 
 def test_irrational_eigenvalues_are_rejected():
     f = hp(FERMAT, 4)
-    v = LinearVectorField.from_rows(
+    v = LinearVectorField(
         [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
     with pytest.raises(DegenerationError, match="irrational"):

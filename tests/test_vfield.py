@@ -32,7 +32,7 @@ from helpers import (
 
 def test_apply_derivation_single_entry():
     # v = z1 d/dz0 sends z0*z1^2 to z1^3
-    v = LinearVectorField.from_rows([[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4])
+    v = LinearVectorField([[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4])
     f = hp("z0*z1^2", 4)
     assert apply_derivation(v, f) == hp("z1^3", 4)
 
@@ -45,7 +45,7 @@ def test_apply_derivation_diagonal_weights():
 
 
 def test_apply_derivation_zero_result():
-    v = LinearVectorField.from_rows([[0, 1], [0, 0]])
+    v = LinearVectorField([[0, 1], [0, 0]])
     assert apply_derivation(v, hp("z1^3", 2)) is None
 
 
@@ -156,31 +156,37 @@ def _random_interesting_matrix(rng: Random, n: int):
     return linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(tuple(map(tuple, upper)), p))
 
 
+def _psf(v):
+    """The squarefree characteristic factor that callers pass in."""
+    return linalg.poly_squarefree_part(linalg.charpoly(v.rows))
+
+
 def test_chevalley_postconditions_and_uniqueness():
     pytest.importorskip("sympy")
     rng = Random(41)
     for _ in range(100):
         m = _random_interesting_matrix(rng, 4)
         v = LinearVectorField(m)
-        s, nil = chevalley_split(v)
-        assert (s + nil).rows == v.rows
+        psf = _psf(v)
+        s, nil = chevalley_split(v, psf)
+        assert linalg.mat_sub(v.rows, nil.rows) == s.rows
         assert linalg.mat_mul(s.rows, nil.rows) == linalg.mat_mul(nil.rows, s.rows)
         assert nil.is_nilpotent()
-        psf = linalg.poly_squarefree_part(linalg.charpoly(m))
         assert linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, s.rows))
         # uniqueness: agree with the independent quotient-ring construction
         assert s.rows == _sympy_semisimple_part(m)
 
 
 def test_chevalley_golden_jordan():
-    v = LinearVectorField.from_rows([[3, 1, 0], [0, 3, 0], [0, 0, 2]])
-    s, n = chevalley_split(v)
+    v = LinearVectorField([[3, 1, 0], [0, 3, 0], [0, 0, 2]])
+    s, n = chevalley_split(v, _psf(v))
     assert s.rows == LinearVectorField.diagonal([3, 3, 2]).rows
-    assert n.rows == LinearVectorField.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]).rows
+    assert n.rows == LinearVectorField([[0, 1, 0], [0, 0, 0], [0, 0, 0]]).rows
 
 
 def test_rational_diagonalize_swap():
-    got = rational_diagonalize(LinearVectorField.from_rows([[0, 1], [1, 0]]))
+    swap = LinearVectorField([[0, 1], [1, 0]])
+    got = rational_diagonalize(swap, _psf(swap))
     assert got is not None
     weights, basis = got
     assert tuple(weights) == (1, -1)
@@ -190,17 +196,13 @@ def test_rational_diagonalize_swap():
 
 def test_rational_diagonalize_irrational_returns_none():
     # eigenvalues +-sqrt(2)
-    assert rational_diagonalize(LinearVectorField.from_rows([[0, 2], [1, 0]])) is None
-
-
-def test_rational_diagonalize_rejects_non_semisimple():
-    with pytest.raises(ValueError):
-        rational_diagonalize(LinearVectorField.from_rows([[1, 1], [0, 1]]))
+    v = LinearVectorField([[0, 2], [1, 0]])
+    assert rational_diagonalize(v, _psf(v)) is None
 
 
 def test_chevalley_semisimple_field_has_zero_nilpotent_part():
-    v = LinearVectorField.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
-    s, nil = chevalley_split(v)
+    v = LinearVectorField([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
+    s, nil = chevalley_split(v, _psf(v))
     assert s == v and nil.is_zero and nil.n == 3
 
 
@@ -208,18 +210,21 @@ def test_chevalley_and_diagonalize_accept_a_known_squarefree_factor():
     rng = Random(43)
     for _ in range(60):
         v = LinearVectorField(_random_interesting_matrix(rng, rng.randint(2, 4)))
-        psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))
-        s, nil = chevalley_split(v)
-        assert chevalley_split(v, psf) == (s, nil)
-        assert (s + nil).rows == v.rows and nil.is_nilpotent()
+        psf = _psf(v)
+        s, nil = chevalley_split(v, psf)
+        assert linalg.mat_sub(v.rows, nil.rows) == s.rows
+        assert linalg.mat_mul(s.rows, nil.rows) == linalg.mat_mul(nil.rows, s.rows)
+        assert nil.is_nilpotent()
         assert linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, s.rows))
-        assert rational_diagonalize(s, psf) == rational_diagonalize(s)
+        got = rational_diagonalize(s, psf)
+        if got is not None:
+            weights, basis = got
+            conj = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(s.rows, basis))
+            assert conj == LinearVectorField.diagonal(weights).rows
 
 
 def test_rational_diagonalize_certifies_a_caller_supplied_factor():
-    jordan = LinearVectorField.from_rows([[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        rational_diagonalize(jordan)
+    jordan = LinearVectorField([[1, 1], [0, 1]])
     # x - 1 does kill the semisimple part, not this field: the eigenspace
     # check still refuses to return a basis
     with pytest.raises(RuntimeError):
@@ -238,13 +243,13 @@ def test_build_degeneration_computes_one_charpoly_per_field(monkeypatch):
 
     monkeypatch.setattr(linalg, "charpoly", counting)
     fermat = parse_poly("z0^3 + z1^3 + z2^3 + z3^3", 4)
-    swap = LinearVectorField.from_rows(
+    swap = LinearVectorField(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
     report = degeneration.build_degeneration(fermat, swap)
     assert report.basis_change is not None and len(calls) == 1
     calls.clear()
-    jordan = LinearVectorField.from_rows(
+    jordan = LinearVectorField(
         [[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]
     )
     with pytest.raises(degeneration.DegenerationError, match="nilpotent"):
@@ -263,7 +268,8 @@ def test_rational_diagonalize_random_conjugates():
         p = random_invertible(rng, n, 2)
         m = linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(
             LinearVectorField.diagonal(eigs).rows, p))
-        got = rational_diagonalize(LinearVectorField(m))
+        v = LinearVectorField(m)
+        got = rational_diagonalize(v, _psf(v))
         assert got is not None
         weights, basis = got
         assert sorted(weights, reverse=True) == sorted(map(Fraction, eigs), reverse=True)
@@ -405,13 +411,15 @@ def test_substitute_linear_expands_a_six_variable_quartic():
 
 
 def test_parse_field():
-    v = parse_field("diag:-7,5,1,1")
+    v = parse_field("diag:-7,5,1,1", 4)
     assert v.is_diagonal and tuple(v.diagonal_entries()) == (-7, 5, 1, 1)
     w = parse_field('[[0, 1], ["1/2", 0]]', 2)
     assert w.rows[1][0] == Fraction(1, 2)
     with pytest.raises(ValueError):
         parse_field("diag:1,2", 3)
     with pytest.raises(ValueError):
-        parse_field("[[1,2],[3]]")
+        parse_field("[[1,2],[3]]", 2)
     with pytest.raises(ValueError):
-        parse_field("{bad}")
+        parse_field("[[1,2],[3,4]]", 3)
+    with pytest.raises(ValueError):
+        parse_field("{bad}", 2)
