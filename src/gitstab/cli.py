@@ -134,7 +134,8 @@ def cmd_limit(args) -> int:
 def _classify_with_bases(args, f: HPoly):
     """Classify in the given coordinates, then in any requested bases,
     keeping the strongest instability found (verdict exit codes 0 < 3 < 4
-    rank stable, weakly stable and not weakly stable)."""
+    rank stable, weakly stable and not weakly stable).  Every basis is
+    validated first; none is tried once the verdict is not weakly stable."""
     best = (classify_torus(f), "given")
     candidates = []
     for text in args.basis or []:
@@ -143,11 +144,11 @@ def _classify_with_bases(args, f: HPoly):
         rng = Random(args.seed)
         candidates += [_random_basis(rng, f.n_vars) for _ in range(args.basis_sweep)]
     for basis in candidates:
+        if best[0].classification == NOT_WEAKLY_STABLE:
+            break  # no basis can beat it
         verdict = classify_torus(substitute_linear(f, basis))
         if verdict.exit_code > best[0].exit_code:
             best = (verdict, basis)
-            if verdict.classification == NOT_WEAKLY_STABLE:
-                break
     return best, len(candidates)
 
 

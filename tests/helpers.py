@@ -33,6 +33,22 @@ def run_python(*args, timeout=None) -> subprocess.CompletedProcess:
     )
 
 
+def solve_stopping_short(real_solve, call: int):
+    """lp.solve, except that its call-th call reports the optimum 0 at the
+    origin, as a simplex that stopped short of the cap would."""
+    count = 0
+
+    def solve(program, pivot_log=None):
+        nonlocal count
+        count += 1
+        out = real_solve(program, pivot_log)
+        if count != call:
+            return out
+        return type(out)(out.status, Fraction(0), (Fraction(0),) * program.n_vars)
+
+    return solve
+
+
 def hp(text: str, n_vars: int) -> HPoly:
     return parse_poly(text, n_vars)
 

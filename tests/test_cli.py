@@ -11,7 +11,7 @@ import time
 import pytest
 
 from gitstab.cli import main
-from helpers import run_python
+from helpers import run_python, solve_stopping_short
 
 UNSTABLE_CUBIC = "z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3"
 FERMAT = "z0^3 + z1^3 + z2^3 + z3^3"
@@ -162,6 +162,33 @@ def test_stability_basis_sweep_is_deterministic(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def test_basis_sweep_stops_once_not_weakly_stable(capsys, monkeypatch):
+    import gitstab.cli
+
+    bases = []
+    real = gitstab.cli.substitute_linear
+
+    def substitute_linear(f, basis):
+        bases.append(basis)
+        return real(f, basis)
+
+    monkeypatch.setattr(gitstab.cli, "substitute_linear", substitute_linear)
+    for extra in ((), ("--json",)):
+        plain = run(capsys, "stability", "-f", UNSTABLE_CUBIC, *extra)
+        swept = run(capsys, "stability", "-f", UNSTABLE_CUBIC, "--basis-sweep", "3", *extra)
+        assert plain[0] == 4 and swept == plain
+    assert bases == []
+    # Every candidate is still built and validated first.
+    singular = "[[1,1,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    code, out, err = run(
+        capsys, "stability", "-f", UNSTABLE_CUBIC, "--basis-sweep", "3", "--basis", singular
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+    # A form that is stable as written is still tried in every basis.
+    assert run(capsys, "stability", "-f", FERMAT, "--basis-sweep", "2")[0] == 0
+    assert len(bases) == 2
 
 
 def test_destabilize(capsys):
@@ -330,6 +357,39 @@ def test_internal_error_exits_six(capsys, monkeypatch):
     monkeypatch.setattr(gitstab.cli, "classify_torus", faulty)
     code, out, err = run(capsys, "stability", "-f", FERMAT)
     assert (code, out, err) == (6, "", "internal error: internal check failed\n")
+
+
+SEMI = "z0^2 + z0*z1"  # solves the decision, strict and cone programs
+
+
+def test_cone_program_short_of_the_cap_exits_six(capsys, monkeypatch):
+    import gitstab.lp
+
+    monkeypatch.setattr(gitstab.lp, "solve", solve_stopping_short(gitstab.lp.solve, 3))
+    code, out, err = run(capsys, "stability", "-f", SEMI)
+    assert (code, out) == (6, "")
+    assert err == "internal error: cone and decision programs disagree\n"
+
+
+def test_cone_program_short_of_the_cap_is_its_corpus_line_error(capsys, monkeypatch, tmp_path):
+    import gitstab.lp
+
+    monkeypatch.setattr(gitstab.lp, "solve", solve_stopping_short(gitstab.lp.solve, 3))
+    lines = [json.dumps({"f": SEMI, "n_vars": 2})] + _corpus_lines()
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "corpus", str(path), "--workers", "1")
+    assert code == 2 and err == ""
+    rows = [json.loads(l) for l in out.splitlines()]
+    assert rows[0] == {
+        "error": "cone and decision programs disagree",
+        "line": lines[0],
+    }
+    assert [r["class"] for r in rows[1:]] == [
+        "stable",
+        "weakly_stable_not_stable",
+        "not_weakly_stable",
+    ]
 
 
 def test_oversized_basis_change_exits_two_quickly(capsys):

@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from gitstab.poly import parse_poly
+from gitstab import lp
+from gitstab.poly import HPoly, parse_poly
 from gitstab.stability import (
     NOT_WEAKLY_STABLE,
     STABLE,
@@ -16,7 +17,16 @@ from gitstab.stability import (
     verdicts_consistent,
 )
 from gitstab.weights import WeightVector, mu
-from helpers import hp, random_hpoly, run_python
+from gitstab.vfield import substitute_linear
+from helpers import (
+    hp,
+    random_hpoly,
+    random_invertible,
+    random_monomial,
+    random_trace_zero_ints,
+    run_python,
+    solve_stopping_short,
+)
 
 
 def test_fermat_cubic_stable():
@@ -141,8 +151,6 @@ def test_permutation_equivariance():
         g_terms = {}
         for mono, c in f.terms.items():
             g_terms[tuple(mono[perm[i]] for i in range(n))] = c
-        from gitstab.poly import HPoly
-
         g = HPoly(n, g_terms)
         vf, vg = classify_torus(f), classify_torus(g)
         assert vf.classification == vg.classification
@@ -181,11 +189,31 @@ for text, kind, witness in cases:
         _verdict(parse_poly(text, 2), 0, None, kind, witness)
     except RuntimeError as exc:
         print(exc)
+
+# The cone program, third to run on a semi form, stops short of its cap.
+from fractions import Fraction
+from gitstab import lp
+from gitstab.stability import classify_torus
+
+real_solve, count = lp.solve, 0
+
+def solve(program, pivot_log=None):
+    global count
+    count += 1
+    out = real_solve(program, pivot_log)
+    return out if count != 3 else lp.LPOutcome(out.status, Fraction(0), out.witness)
+
+lp.solve = solve
+try:
+    classify_torus(parse_poly("z0^2 + z0*z1", 2))
+except RuntimeError as exc:
+    print(exc)
 """
 
 
 def test_bogus_destabilizer_rejected_under_optimize():
-    # The one witness check must not be an assert: python -O would strip it.
+    # The one witness check and the cone program's cap check must not be
+    # asserts: python -O would strip them.
     proc = run_python("-O", "-c", _BOGUS_WITNESSES)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
@@ -196,6 +224,7 @@ def test_bogus_destabilizer_rejected_under_optimize():
         "semi witness -1,1 fails the witness check",
         "semi witness 1,-1 fails the witness check",
         "strict witness 1,-1 fails the witness check",
+        "cone and decision programs disagree",
     ]
 
 
@@ -217,6 +246,129 @@ def test_both_classifiers_check_witnesses_in_one_place(monkeypatch, kind, text, 
     for classify in (classify_torus, lambda f: oracle_classify(f, 2)):
         with pytest.raises(RuntimeError, match=f"{kind} witness .* fails the witness check"):
             classify(f)
+
+
+def _reference_cone_program(f):
+    """The total weight over C in lambda itself, capped at 1, built from the
+    definition of C."""
+    n = f.n_vars
+    gammas = sorted(f.terms, reverse=True)
+    total = [sum(g[i] for g in gammas) for i in range(n)]
+    cone = [([1] * n, lp.EQ, 0)] + [(list(g), lp.GE, 0) for g in gammas]
+    return lp.LinearProgram.maximize(total, cone + [(total, lp.LE, 1)])
+
+
+def _binomial_sum(rng, n):
+    """Binomials z^g + z^h with g + h = (2, ..., 2) in degree n, fewer than
+    n - 1 of them: (1, ..., 1) is the midpoint of every segment, so C = L."""
+    terms = {}
+    for _ in range(rng.randint(1, max(1, n - 2))):
+        g = [1] * n
+        for _ in range(rng.randint(1, n)):
+            i, j = rng.sample(range(n), 2)
+            if g[i] > 0 and g[j] < 2:
+                g[i] -= 1
+                g[j] += 1
+        terms[tuple(g)] = Fraction(rng.randint(1, 5))
+        terms[tuple(2 - x for x in g)] = Fraction(-rng.randint(1, 5))
+    return HPoly(n, terms)
+
+
+def _nonnegative_form(rng, n):
+    """Monomials of weight >= 0 under a random trace-zero vector: never
+    stable, and often semi (some weight 0, no strict witness)."""
+    lam = random_trace_zero_ints(rng, n, 3)
+    degree = rng.randint(1, 4)
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 10)):
+            m = random_monomial(rng, n, degree)
+            if lam.dot(m) >= 0:
+                terms[m] = Fraction(rng.randint(1, 9))
+    return HPoly(n, terms)
+
+
+def _agreement_forms():
+    rng = Random(1313)
+    for _ in range(90):
+        n = rng.randint(2, 8)
+        yield "random", random_hpoly(rng, n, rng.randint(1, 4), 8)
+    for _ in range(90):
+        yield "nonnegative", _nonnegative_form(rng, rng.randint(2, 8))
+    for _ in range(70):
+        yield "binomial", _binomial_sum(rng, rng.randint(2, 7))
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        f = random_hpoly(rng, n, rng.randint(2, 3), 4)
+        yield "dense", substitute_linear(f, random_invertible(rng, n, 2))
+
+
+def test_decision_program_agrees_with_cone_program(monkeypatch):
+    # The decision program classify_torus solves first must reach the cap
+    # exactly when the cone program over lambda does; a semi verdict carries
+    # the cone program's own witness.
+    real_solve = lp.solve
+    outcomes = []
+
+    def solve(program, pivot_log=None):
+        outcomes.append(real_solve(program, pivot_log))
+        return outcomes[-1]
+
+    monkeypatch.setattr(lp, "solve", solve)
+    seen = {}
+    for family, f in _agreement_forms():
+        outcomes.clear()
+        v = classify_torus(f)
+        reference = real_solve(_reference_cone_program(f))
+        assert reference.value in (0, 1)
+        assert outcomes[0].value == reference.value, (family, f)
+        assert (v.classification == NOT_WEAKLY_STABLE) == (reference.value == 1), (family, f)
+        if family == "binomial":
+            assert reference.value == 0
+        if v.classification == NOT_WEAKLY_STABLE and v.certificate_mu == 0:
+            assert v.destabilizer == WeightVector.from_values(reference.witness).primitive_integer()
+        key = (family, v.classification, v.certificate_mu == 0)
+        seen[key] = seen.get(key, 0) + 1
+    assert sum(seen.values()) >= 300
+    for family in ("random", "nonnegative", "dense"):
+        assert (family, NOT_WEAKLY_STABLE, True) in seen  # semi verdicts
+        assert (family, NOT_WEAKLY_STABLE, False) in seen  # strict verdicts
+    assert ("binomial", WEAKLY_STABLE_NOT_STABLE, True) in seen
+    assert any(k[:2] == ("dense", STABLE) for k in seen)
+
+
+@pytest.mark.parametrize(
+    "text, n_vars, cls, n_solves",
+    [
+        ("z0^3 + z1^3 + z2^3 + z3^3", 4, STABLE, 1),
+        ("z0^3 + z1^3 + z2^3 + z3^3 + z0^2*z1", 4, STABLE, 1),
+        ("z0*z1 + z2*z3", 4, WEAKLY_STABLE_NOT_STABLE, 1),
+        ("z0*z1 + z2*z3 + z0^2 + z1^2", 4, WEAKLY_STABLE_NOT_STABLE, 1),
+        ("z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3", 4, NOT_WEAKLY_STABLE, 2),
+        ("z0^3", 4, NOT_WEAKLY_STABLE, 2),
+        ("z0^2 + z0*z1", 2, NOT_WEAKLY_STABLE, 3),
+    ],
+)
+def test_programs_run_only_when_needed(monkeypatch, text, n_vars, cls, n_solves):
+    real_solve = lp.solve
+    logs = []  # one pivot log per solve
+
+    def solve(program, pivot_log=None):
+        logs.append([])
+        return real_solve(program, logs[-1])
+
+    monkeypatch.setattr(lp, "solve", solve)
+    assert classify_torus(hp(text, n_vars)).classification == cls
+    assert len(logs) == n_solves
+    # The decision program starts from its slack basis.
+    assert not any(snap["phase"] == 1 for snap in logs[0])
+
+
+def test_cone_program_short_of_the_cap_raises(monkeypatch):
+    monkeypatch.setattr(lp, "solve", solve_stopping_short(lp.solve, 3))
+    msg = "cone and decision programs disagree"
+    with pytest.raises(RuntimeError, match=msg):
+        classify_torus(hp("z0^2 + z0*z1", 2))
 
 
 def test_configured_logging_receives_debug_record(caplog):
