@@ -36,7 +36,6 @@ from .stability import (
     verdicts_consistent,
 )
 from .vfield import (
-    InvarianceResult,
     LinearVectorField,
     apply_derivation,
     chevalley_split,
@@ -45,7 +44,7 @@ from .vfield import (
     rational_diagonalize,
     substitute_linear,
 )
-from .weights import WeightSpectrum, WeightVector, limit_poly, mu, weight_spectrum
+from .weights import WeightVector, limit_poly, mu, weight_spectrum
 
 __version__ = "0.1.0"
 
@@ -56,7 +55,6 @@ __all__ = [
     "DegenerationReport",
     "FutakiValue",
     "HPoly",
-    "InvarianceResult",
     "LinearVectorField",
     "Monomial",
     "NOT_WEAKLY_STABLE",
@@ -64,7 +62,6 @@ __all__ = [
     "STABLE",
     "StabilityVerdict",
     "WEAKLY_STABLE_NOT_STABLE",
-    "WeightSpectrum",
     "WeightVector",
     "apply_derivation",
     "build_degeneration",

@@ -35,9 +35,7 @@ class BoxScanResult:
     scanned: int
     strict: tuple | None  # first vector with all support weights positive
     semi: tuple | None  # first vector with weights >= 0, at least one > 0
-    fixing_rank: int  # rank of the vectors with all weights zero
-    fixing_basis: tuple  # integer echelon basis of that span
-    zero_weight_count: int
+    fixing_basis: tuple  # integer echelon basis of the vectors with all weights zero
 
 
 def check_box_size(n_vars: int, bound: int):
@@ -103,7 +101,6 @@ def scan_box(gammas, n_vars: int, bound: int) -> BoxScanResult:
     strict = None
     semi = None
     scanned = 0
-    zero_count = 0
     basis: list = []
     for lam in iter_trace_zero_box(n_vars, bound):
         scanned += 1
@@ -115,13 +112,10 @@ def scan_box(gammas, n_vars: int, bound: int) -> BoxScanResult:
             weights.append(w)
         else:  # no weight is negative
             if not max(weights):
-                zero_count += 1
                 _absorb(basis, lam)
                 continue
             if semi is None:
                 semi = lam
             if strict is None and min(weights) > 0:
                 strict = lam
-    return BoxScanResult(
-        scanned, strict, semi, len(basis), tuple(tuple(row) for _, row in basis), zero_count
-    )
+    return BoxScanResult(scanned, strict, semi, tuple(tuple(row) for _, row in basis))

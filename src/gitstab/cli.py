@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 from random import Random
 
 from . import lp
@@ -109,15 +110,15 @@ def cmd_mu(args) -> int:
     f = _load_poly(args)
     lam = WeightVector.parse(args.weights)
     value = mu(lam, f)
-    spec = weight_spectrum(lam, f)
+    spec = sorted(weight_spectrum(lam, f).items())
     limit = limit_poly(lam, f)
     payload = {
         "mu": str(value),
-        "spectrum": {str(w): print_poly(p) for w, p in spec.strata()},
+        "spectrum": {str(w): print_poly(p) for w, p in spec},
         "limit": print_poly(limit),
     }
     lines = [f"mu = {value}", "spectrum:"]
-    lines += [f"  {w}: {print_poly(p)}" for w, p in spec.strata()]
+    lines += [f"  {w}: {print_poly(p)}" for w, p in spec]
     lines.append(f"limit = {print_poly(limit)}")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -134,22 +135,23 @@ def cmd_limit(args) -> int:
 def _classify_with_bases(args, f: HPoly):
     """Classify in the given coordinates, then in any requested bases,
     keeping the strongest instability found (verdict exit codes 0 < 3 < 4
-    rank stable, weakly stable and not weakly stable).  Every basis is
-    validated first; none is tried once the verdict is not weakly stable."""
+    rank stable, weakly stable and not weakly stable).  Every `--basis` is
+    validated first; the random ones are drawn as they are tried, and none
+    is tried once the verdict is not weakly stable."""
     best = (classify_torus(f), "given")
-    candidates = []
-    for text in args.basis or []:
-        candidates.append(_parse_basis(text, f.n_vars))
-    if args.basis_sweep:
-        rng = Random(args.seed)
-        candidates += [_random_basis(rng, f.n_vars) for _ in range(args.basis_sweep)]
-    for basis in candidates:
-        if best[0].classification == NOT_WEAKLY_STABLE:
-            break  # no basis can beat it
+    explicit = [_parse_basis(text, f.n_vars) for text in args.basis or []]
+    rng = Random(args.seed)
+    candidates = chain(explicit, (_random_basis(rng, f.n_vars) for _ in range(args.basis_sweep)))
+    tried = 0
+    while best[0].classification != NOT_WEAKLY_STABLE:  # else no basis can beat it
+        basis = next(candidates, None)
+        if basis is None:
+            break
+        tried += 1
         verdict = classify_torus(substitute_linear(f, basis))
         if verdict.exit_code > best[0].exit_code:
             best = (verdict, basis)
-    return best, len(candidates)
+    return best, tried
 
 
 def cmd_stability(args) -> int:

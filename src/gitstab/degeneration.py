@@ -86,11 +86,17 @@ class DegenerationFamily:
 @record
 class DegenerationReport:
     family: DegenerationFamily
-    special_fiber: HPoly
-    trivial: bool
     futaki: FutakiValue | None
     normalized_trace_zero_generator: WeightVector
     basis_change: tuple | None  # eigenbasis columns, None when already diagonal
+
+    @property
+    def special_fiber(self) -> HPoly:
+        return self.family.strata[0]
+
+    @property
+    def trivial(self) -> bool:
+        return self.family.trivial
 
     def to_json(self) -> dict:
         from .poly import print_poly
@@ -149,9 +155,9 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
     lam_tilde = weights.shifted(-Fraction(floor, d))
 
     spectrum = weight_spectrum(lam_tilde, f_work)
-    rescale = lcm(*(w.denominator for w in spectrum.entries))
+    rescale = lcm(*(w.denominator for w in spectrum))
     strata = {}
-    for w, part in spectrum.entries.items():
+    for w, part in spectrum.items():
         e = w * rescale
         if e.denominator != 1 or e < 0:
             raise RuntimeError("cleared exponents must be non-negative integers")
@@ -166,14 +172,7 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
     tz = lam_tilde.trace_zero().primitive_integer()
     n = f.n_vars - 1
     fut = futaki_of_limit(tz, f_work) if 1 < d < n + 1 else None
-    return DegenerationReport(
-        family=family,
-        special_fiber=strata[0],
-        trivial=family.trivial,
-        futaki=fut,
-        normalized_trace_zero_generator=tz,
-        basis_change=basis,
-    )
+    return DegenerationReport(family, fut, tz, basis)
 
 
 def from_destabilizer(f: HPoly, lmbda: WeightVector) -> DegenerationReport:
@@ -205,12 +204,23 @@ class CrosscheckViolation:
 @record
 class CrosscheckReport:
     verdict: stability.StabilityVerdict
-    weakly_stable: bool  # LP side
-    box_consistent: bool  # Futaki-sign side over the box
-    agreement: bool
     enumerated: int
     bound: int
     violations: tuple
+
+    @property
+    def weakly_stable(self) -> bool:
+        """The LP side."""
+        return self.verdict.classification != stability.NOT_WEAKLY_STABLE
+
+    @property
+    def box_consistent(self) -> bool:
+        """The Futaki-sign side over the box."""
+        return not self.violations
+
+    @property
+    def agreement(self) -> bool:
+        return self.weakly_stable == self.box_consistent
 
     def to_json(self) -> dict:
         return {
@@ -278,8 +288,6 @@ def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
     boxscan.check_box_size(f.n_vars, bound)
 
     verdict = stability.classify_torus(f)
-    weakly = verdict.classification != stability.NOT_WEAKLY_STABLE
-
     gammas = list(f.terms)
     violations = []
     audited = set()
@@ -299,12 +307,11 @@ def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
         if kind is not None:
             violations.append(CrosscheckViolation(lam, value, trivial, kind))
 
-    box_ok = not violations
-    agreement = weakly == box_ok
-    if not agreement:
+    report = CrosscheckReport(verdict, enumerated, bound, tuple(violations))
+    if not report.agreement:
         log.warning(
-            "crosscheck disagreement: LP says weakly_stable=%s, box says %s", weakly, box_ok
+            "crosscheck disagreement: LP says weakly_stable=%s, box says %s",
+            report.weakly_stable,
+            report.box_consistent,
         )
-    return CrosscheckReport(
-        verdict, weakly, box_ok, agreement, enumerated, bound, tuple(violations)
-    )
+    return report

@@ -45,7 +45,10 @@ class LinearProgram:
 
     objective: tuple
     constraints: tuple  # of (row, relation, rhs)
-    n_vars: int
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.objective)
 
     @classmethod
     def maximize(cls, objective, constraints) -> "LinearProgram":
@@ -59,7 +62,7 @@ class LinearProgram:
             if rel not in _RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
             rows.append((row, rel, frac(rhs)))
-        return cls(obj, tuple(rows), n)
+        return cls(obj, tuple(rows))
 
 
 @record
@@ -77,7 +80,7 @@ def _pivot(tab, crow, basis, pr, e):
     basis[pr] = e
 
 
-def _iterate(tab, basis, crow, n_enterable, pivot_log=None, phase=0):
+def _iterate(tab, basis, crow, n_enterable, pivot_log, phase):
     """Run simplex steps until optimal or unbounded.
 
     Only columns below n_enterable may enter the basis (this is how phase two

@@ -3,8 +3,9 @@
 `record` gives a class with annotated fields the constructor, equality, hash
 and repr that `@dataclass(frozen=True)` would, built from plain closures, so
 importing the package neither runs `exec` per class nor loads `dataclasses`
-and the `inspect` machinery it imports.  Positional and keyword arguments,
-trailing class-level defaults and `__post_init__` work as with dataclasses.
+and the `inspect` machinery it imports.  Positional and keyword arguments
+and `__post_init__` work as with dataclasses; every field is required (a
+value that follows from the others is a property, not a field).
 Equality holds only between instances of the same class.  Records refuse
 assignment and deletion with AttributeError (`__post_init__` may set a field
 through `object.__setattr__`) and hash by their fields, so a record holding a
@@ -21,10 +22,6 @@ def record(cls):
     name = cls.__name__
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(fields)
-    defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
-    n_required = n - len(defaults)
-    if any(f in cls.__dict__ for f in fields[:n_required]):
-        raise TypeError(f"{name}: a field without a default follows one with a default")
     post_init = getattr(cls, "__post_init__", None)
     get = attrgetter(*fields)
     values = get if n > 1 else lambda self: (get(self),)
@@ -33,12 +30,11 @@ def record(cls):
         """Keyword arguments, or a wrong count: the slow path of __init__."""
         if len(args) > n:
             raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
-        given = dict(zip(fields[n_required:], defaults))
-        given.update(zip(fields, args))
+        given = dict(zip(fields, args))
         for key, value in kwargs.items():
             if key not in fields:
                 raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in fields[: len(args)]:
+            if key in given:
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
             given[key] = value
         missing = [f for f in fields if f not in given]
@@ -47,10 +43,10 @@ def record(cls):
         self.__dict__.update((f, given[f]) for f in fields)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or not n_required <= len(args) <= n:
+        if kwargs or len(args) != n:
             fill(self, args, kwargs)
         else:
-            self.__dict__.update(zip(fields, args + defaults[len(args) - n_required :]))
+            self.__dict__.update(zip(fields, args))
         if post_init is not None:
             post_init(self)
 

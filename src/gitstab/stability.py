@@ -63,16 +63,13 @@ class StabilityVerdict:
     destabilizer is a primitive integer trace-zero weight vector witnessing
     non-stability (all support weights zero for the weakly stable class,
     non-negative with a positive one otherwise); certificate_mu is its
-    minimum weight.  box_bound is None for exact LP verdicts and the
-    enumeration radius for oracle verdicts, whose stable/weakly answers are
-    only valid inside that box.
+    minimum weight.
     """
 
     classification: str
     destabilizer: WeightVector | None
     fixing_subspace_dim: int
     certificate_mu: Fraction | None
-    box_bound: int | None = None
 
     @property
     def exit_code(self) -> int:
@@ -102,7 +99,7 @@ _WEIGHT_TESTS = {
 }
 
 
-def _verdict(f: HPoly, fixing_dim: int, box_bound, kind=None, witness=None) -> StabilityVerdict:
+def _verdict(f: HPoly, fixing_dim: int, kind=None, witness=None) -> StabilityVerdict:
     """The verdict a witness of the given kind proves; with no kind, stable.
 
     This is the one witness check of both classifiers: made a primitive
@@ -111,13 +108,13 @@ def _verdict(f: HPoly, fixing_dim: int, box_bound, kind=None, witness=None) -> S
     positive (semi) or all be positive (strict).
     """
     if kind is None:
-        return StabilityVerdict(STABLE, None, 0, None, box_bound)
+        return StabilityVerdict(STABLE, None, 0, None)
     lam = WeightVector.from_values(witness).primitive_integer()
     if lam.is_zero or lam.trace != 0 or not _WEIGHT_TESTS[kind]([lam.dot(g) for g in f.terms]):
         raise RuntimeError(f"{kind} witness {lam} fails the witness check")
     if kind == "fixing":
-        return StabilityVerdict(WEAKLY_STABLE_NOT_STABLE, lam, fixing_dim, Fraction(0), box_bound)
-    return StabilityVerdict(NOT_WEAKLY_STABLE, lam, fixing_dim, mu(lam, f), box_bound)
+        return StabilityVerdict(WEAKLY_STABLE_NOT_STABLE, lam, fixing_dim, Fraction(0))
+    return StabilityVerdict(NOT_WEAKLY_STABLE, lam, fixing_dim, mu(lam, f))
 
 
 def classify_torus(f: HPoly) -> StabilityVerdict:
@@ -147,8 +144,8 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     if out.value == 0:
         # Every lambda in C has all weights zero, so C = L.
         if fixing_dim == 0:
-            return _verdict(f, 0, None)
-        return _verdict(f, fixing_dim, None, "fixing", fixing_basis[0])
+            return _verdict(f, 0)
+        return _verdict(f, fixing_dim, "fixing", fixing_basis[0])
 
     # C is strictly larger than L; try to strengthen the witness to mu > 0.
     m_col = tuple(Fraction(int(i == n)) for i in range(n + 1))
@@ -167,7 +164,7 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
         if out3.status != lp.OPTIMAL or out3.value != 1:
             raise RuntimeError("cone and decision programs disagree")
         kind, witness = "semi", out3.witness
-    v = _verdict(f, fixing_dim, None, kind, witness)
+    v = _verdict(f, fixing_dim, kind, witness)
     msg = "destabilizer %s with mu=%s (strict=%s)"
     log.debug(msg, v.destabilizer, v.certificate_mu, kind == "strict")
     return v
@@ -182,11 +179,11 @@ def oracle_classify(f: HPoly, box_bound: int) -> StabilityVerdict:
     """
     gammas = _sorted_support(f)
     res = boxscan.scan_box(gammas, f.n_vars, box_bound)
-    fixing = res.fixing_basis[0] if res.fixing_rank else None
+    fixing = res.fixing_basis[0] if res.fixing_basis else None
     for kind, witness in (("strict", res.strict), ("semi", res.semi), ("fixing", fixing)):
         if witness is not None:
-            return _verdict(f, res.fixing_rank, box_bound, kind, witness)
-    return _verdict(f, 0, box_bound)
+            return _verdict(f, len(res.fixing_basis), kind, witness)
+    return _verdict(f, 0)
 
 
 def verdicts_consistent(exact: StabilityVerdict, boxed: StabilityVerdict, bound: int) -> bool:

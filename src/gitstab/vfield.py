@@ -91,12 +91,6 @@ class LinearVectorField:
         ]
 
 
-@record
-class InvarianceResult:
-    invariant: bool
-    kappa: Fraction | None
-
-
 def parse_matrix(text: str, n: int, what: str) -> tuple:
     """An n x n matrix of rationals from a JSON array of rows; every failure
     is a ValueError naming `what`."""
@@ -147,23 +141,23 @@ def apply_derivation(v: LinearVectorField, f: HPoly) -> HPoly | None:
     return HPoly(f.n_vars, out)
 
 
-def invariance(v: LinearVectorField, f: HPoly) -> InvarianceResult:
-    """Decide whether v(f) = kappa * f for some rational kappa.
+def invariance(v: LinearVectorField, f: HPoly) -> Fraction | None:
+    """The rational kappa with v(f) = kappa * f, or None when there is none.
 
-    kappa is the eigenvalue when it exists (0 for v(f) = 0); otherwise None.
+    kappa is 0 when v(f) = 0, so test the result with `is not None`.
     """
     g = apply_derivation(v, f)
     if g is None:
-        return InvarianceResult(True, Fraction(0))
+        return Fraction(0)
     if set(g.terms) != set(f.terms):
-        return InvarianceResult(False, None)
+        return None
     items = iter(f.terms.items())
     mono, c = next(items)
     kappa = g.terms[mono] / c
     for mono, c in items:
         if g.terms[mono] / c != kappa:
-            return InvarianceResult(False, None)
-    return InvarianceResult(True, kappa)
+            return None
+    return kappa
 
 
 def chevalley_split(v: LinearVectorField, psf: tuple) -> tuple:
@@ -321,8 +315,9 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
     """Pull f back along the invertible substitution z_i -> sum_j P[i][j] z_j."""
     p = linalg.mat(basis)
     n = f.n_vars
-    if len(p) != n:
-        raise ValueError(f"basis matrix is {len(p)}x{len(p[0]) if p else 0}, expected {n}x{n}")
+    rows, cols = len(p), len(p[0]) if p else 0  # `mat` refuses ragged rows
+    if (rows, cols) != (n, n):
+        raise ValueError(f"basis matrix is {rows}x{cols}, expected {n}x{n}")
     # Coefficient products of the expansion below for a dense basis: the
     # powers of the linear forms, then each monomial's partial products.  The
     # power e of a linear form has size(e) terms.

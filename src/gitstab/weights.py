@@ -3,8 +3,9 @@
 A weight vector lambda assigns the rational weight lambda[i] to the variable
 zi, so the monomial z^gamma picks up weight <lambda, gamma>.  The three core
 quantities are the minimum weight mu over the support, the partition of a
-polynomial into constant-weight strata, and the minimum-weight stratum (the
-limit of the polynomial under the associated one-parameter degeneration).
+polynomial into constant-weight strata (a plain {weight: stratum} dict), and
+the minimum-weight stratum (the limit of the polynomial under the associated
+one-parameter degeneration).
 """
 
 from __future__ import annotations
@@ -88,17 +89,6 @@ class WeightVector:
         return ",".join(str(x) for x in self.values)
 
 
-@record
-class WeightSpectrum:
-    """Partition of a polynomial into constant-weight strata."""
-
-    entries: dict  # Fraction -> HPoly
-
-    def strata(self):
-        """(weight, stratum) pairs in increasing weight order."""
-        return sorted(self.entries.items())
-
-
 def _check_dims(lmbda: WeightVector, f: HPoly):
     if len(lmbda) != f.n_vars:
         raise ValueError(
@@ -112,13 +102,14 @@ def mu(lmbda: WeightVector, f: HPoly) -> Fraction:
     return min(lmbda.dot(g) for g in f.terms)
 
 
-def weight_spectrum(lmbda: WeightVector, f: HPoly) -> WeightSpectrum:
-    """Group the terms of f by weight; the strata sum back to f."""
+def weight_spectrum(lmbda: WeightVector, f: HPoly) -> dict:
+    """Group the terms of f by weight: {weight: stratum}, the strata summing
+    back to f."""
     _check_dims(lmbda, f)
     buckets: dict = {}
     for mono, c in f.terms.items():
         buckets.setdefault(lmbda.dot(mono), {})[mono] = c
-    return WeightSpectrum({w: HPoly(f.n_vars, t) for w, t in buckets.items()})
+    return {w: HPoly(f.n_vars, t) for w, t in buckets.items()}
 
 
 def limit_poly(lmbda: WeightVector, f: HPoly) -> HPoly:

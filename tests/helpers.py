@@ -5,7 +5,12 @@ written from scratch against the definitions, not by calling the package, so
 they can catch bugs in the library implementations.
 """
 
+import contextlib
+import io
+import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +20,9 @@ from gitstab.poly import HPoly, parse_poly
 from gitstab.weights import WeightVector
 
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(HERE, "..", "src")
+README_CLI_RECORD = os.path.join(HERE, "data", "readme_cli.json")
 
 
 def run_python(*args, timeout=None) -> subprocess.CompletedProcess:
@@ -31,6 +38,49 @@ def run_python(*args, timeout=None) -> subprocess.CompletedProcess:
         env=dict(os.environ, PYTHONPATH=path),
         timeout=timeout,
     )
+
+
+def readme_cli_examples() -> list:
+    """Argument vectors of the README's `gitstab ...` examples that need no
+    input file (all but `corpus` and `lp-debug`), each as written and then
+    with `--json` added or removed."""
+    with open(os.path.join(HERE, "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        lines = block.replace("\\\n", " ").splitlines()
+        commands += [line for line in lines if line.startswith("gitstab ")]
+    commands += re.findall(r"`(gitstab [^`]*)`", text)
+    examples = []
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        if argv[0] in ("corpus", "lp-debug"):
+            continue
+        toggled = [a for a in argv if a != "--json"] if "--json" in argv else argv + ["--json"]
+        examples += [argv, toggled]
+    return examples
+
+
+def run_cli(argv) -> list:
+    """[exit code, stdout] of one in-process `gitstab` run."""
+    from gitstab.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return [code, out.getvalue()]
+
+
+def record_readme_cli():
+    """Rewrite the pinned README example outputs from the program as it is.
+
+    Run it (`PYTHONPATH=src:tests python -c "import helpers;
+    helpers.record_readme_cli()"`) only on a commit whose answers are
+    trusted, since the test then holds every later commit to them."""
+    rows = [{"argv": a, "result": run_cli(a)} for a in readme_cli_examples()]
+    with open(README_CLI_RECORD, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=1)
+        fh.write("\n")
 
 
 def solve_stopping_short(real_solve, call: int):

@@ -11,7 +11,13 @@ import time
 import pytest
 
 from gitstab.cli import main
-from helpers import run_python, solve_stopping_short
+from helpers import (
+    README_CLI_RECORD,
+    readme_cli_examples,
+    run_cli,
+    run_python,
+    solve_stopping_short,
+)
 
 UNSTABLE_CUBIC = "z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3"
 FERMAT = "z0^3 + z1^3 + z2^3 + z3^3"
@@ -27,6 +33,24 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     assert err == ""
     return code, json.loads(out)
+
+
+with open(README_CLI_RECORD, encoding="utf-8") as fh:
+    README_CLI_ROWS = json.load(fh)
+
+
+def test_readme_examples_are_all_pinned():
+    # Every README example that needs no input file, as text and as JSON, has
+    # its exit code and stdout recorded in tests/data; an edited example must
+    # be recorded anew (see helpers.record_readme_cli).
+    assert [row["argv"] for row in README_CLI_ROWS] == readme_cli_examples()
+
+
+@pytest.mark.parametrize(
+    "row", README_CLI_ROWS, ids=[f"{k}-{r['argv'][0]}" for k, r in enumerate(README_CLI_ROWS)]
+)
+def test_readme_example_keeps_its_pinned_output(row):
+    assert run_cli(row["argv"]) == row["result"]
 
 
 def test_parse_canonicalizes(capsys):
@@ -165,21 +189,28 @@ def test_stability_basis_sweep_is_deterministic(capsys):
 
 
 def test_basis_sweep_stops_once_not_weakly_stable(capsys, monkeypatch):
+    # Random bases are drawn as they are tried, so a form that is not weakly
+    # stable as written draws none.
     import gitstab.cli
 
-    bases = []
-    real = gitstab.cli.substitute_linear
+    bases, drawn = [], []
+    real_substitute, real_draw = gitstab.cli.substitute_linear, gitstab.cli._random_basis
 
     def substitute_linear(f, basis):
         bases.append(basis)
-        return real(f, basis)
+        return real_substitute(f, basis)
+
+    def random_basis(rng, n):
+        drawn.append(n)
+        return real_draw(rng, n)
 
     monkeypatch.setattr(gitstab.cli, "substitute_linear", substitute_linear)
+    monkeypatch.setattr(gitstab.cli, "_random_basis", random_basis)
     for extra in ((), ("--json",)):
         plain = run(capsys, "stability", "-f", UNSTABLE_CUBIC, *extra)
-        swept = run(capsys, "stability", "-f", UNSTABLE_CUBIC, "--basis-sweep", "3", *extra)
+        swept = run(capsys, "stability", "-f", UNSTABLE_CUBIC, "--basis-sweep", "1000", *extra)
         assert plain[0] == 4 and swept == plain
-    assert bases == []
+    assert bases == [] and drawn == []
     # Every candidate is still built and validated first.
     singular = "[[1,1,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]]"
     code, out, err = run(
@@ -187,8 +218,12 @@ def test_basis_sweep_stops_once_not_weakly_stable(capsys, monkeypatch):
     )
     assert code == 2 and out == "" and err.startswith("error:")
     # A form that is stable as written is still tried in every basis.
-    assert run(capsys, "stability", "-f", FERMAT, "--basis-sweep", "2")[0] == 0
-    assert len(bases) == 2
+    assert run(capsys, "stability", "-f", FERMAT, "--basis-sweep", "2") == (
+        0,
+        "class = stable (relative to the given coordinates and 2 tried bases)\nfixing_dim = 0\n",
+        "",
+    )
+    assert len(bases) == len(drawn) == 2
 
 
 def test_destabilize(capsys):

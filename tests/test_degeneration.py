@@ -105,7 +105,7 @@ def test_degenerations_along_random_destabilizers():
         assert fam.fiber(0) == rep.special_fiber == limit_poly(lam, f)
         assert all(isinstance(e, int) and e >= 0 for e in fam.strata)
         assert 0 in fam.strata
-        assert rep.trivial == (len(weight_spectrum(lam, f).entries) == 1)
+        assert rep.trivial == (len(weight_spectrum(lam, f)) == 1)
         if not lam.is_zero:
             assert rep.normalized_trace_zero_generator == lam.primitive_integer()
 
@@ -269,7 +269,6 @@ def test_crosscheck_json_shape():
 def _crosscheck_reference(f, bound):
     """The crosscheck with one full degeneration family per box generator."""
     verdict = stability.classify_torus(f)
-    weakly = verdict.classification != stability.NOT_WEAKLY_STABLE
     violations = []
     enumerated = 0
     for lam in boxscan.iter_trace_zero_box(f.n_vars, bound):
@@ -285,10 +284,7 @@ def _crosscheck_reference(f, bound):
         else:
             continue
         violations.append(CrosscheckViolation(lam, value, rep.trivial, kind))
-    box_ok = not violations
-    return CrosscheckReport(
-        verdict, weakly, box_ok, weakly == box_ok, enumerated, bound, tuple(violations)
-    )
+    return CrosscheckReport(verdict, enumerated, bound, tuple(violations))
 
 
 @pytest.mark.parametrize(

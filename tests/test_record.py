@@ -1,9 +1,9 @@
 """The contract of the package's value classes (gitstab.record).
 
 Every result class keeps what it had as a dataclass: positional and keyword
-construction, defaults, `__post_init__`, equality within one class only,
-hashing, the `Name(field=value, ...)` repr, refusal of assignment, and
-`__match_args__`.
+construction, `__post_init__`, equality within one class only, hashing, the
+`Name(field=value, ...)` repr, refusal of assignment, and `__match_args__`.
+Every field is required; values that follow from the fields are properties.
 """
 
 from fractions import Fraction
@@ -22,33 +22,26 @@ from gitstab.lp import LinearProgram, LPOutcome
 from gitstab.poly import parse_poly
 from gitstab.record import record
 from gitstab.stability import StabilityVerdict
-from gitstab.vfield import InvarianceResult, LinearVectorField
-from gitstab.weights import WeightSpectrum, WeightVector
+from gitstab.vfield import LinearVectorField
+from gitstab.weights import WeightVector
 
 F = parse_poly("z0^3 + z1^3 + z2^3 + z3^3", 4)
 LAM = WeightVector((Fraction(-7), Fraction(5), Fraction(1), Fraction(1)))
 FAMILY = DegenerationFamily(F, LAM, 2, {0: F})
-VERDICT = StabilityVerdict("not_weakly_stable", LAM, 0, Fraction(3), None)
+VERDICT = StabilityVerdict("not_weakly_stable", LAM, 0, Fraction(3))
 
 # One sample per class: (class, field names, field values).
 SAMPLES = [
     (
         BoxScanResult,
-        ("scanned", "strict", "semi", "fixing_rank", "fixing_basis", "zero_weight_count"),
-        (81, (1, -1, 0, 0), None, 0, (), 1),
+        ("scanned", "strict", "semi", "fixing_basis"),
+        (81, (1, -1, 0, 0), None, ()),
     ),
     (DegenerationFamily, ("base_poly", "generator", "s_rescale", "strata"), (F, LAM, 2, {0: F})),
     (
         DegenerationReport,
-        (
-            "family",
-            "special_fiber",
-            "trivial",
-            "futaki",
-            "normalized_trace_zero_generator",
-            "basis_change",
-        ),
-        (FAMILY, F, True, None, LAM, None),
+        ("family", "futaki", "normalized_trace_zero_generator", "basis_change"),
+        (FAMILY, None, LAM, None),
     ),
     (
         CrosscheckViolation,
@@ -57,36 +50,33 @@ SAMPLES = [
     ),
     (
         CrosscheckReport,
-        ("verdict", "weakly_stable", "box_consistent", "agreement", "enumerated", "bound",
-         "violations"),
-        (VERDICT, False, False, True, 64, 2, ()),
+        ("verdict", "enumerated", "bound", "violations"),
+        (VERDICT, 64, 2, ()),
     ),
     (FutakiValue, ("value", "n", "d", "kappa"), (Fraction(-8), 3, 3, Fraction(3))),
     (
         LinearProgram,
-        ("objective", "constraints", "n_vars"),
-        ((Fraction(1),), (((Fraction(1),), "<=", Fraction(1)),), 1),
+        ("objective", "constraints"),
+        ((Fraction(1),), (((Fraction(1),), "<=", Fraction(1)),)),
     ),
     (LPOutcome, ("status", "value", "witness"), ("optimal", Fraction(1), (Fraction(1),))),
     (
         StabilityVerdict,
-        ("classification", "destabilizer", "fixing_subspace_dim", "certificate_mu", "box_bound"),
-        ("not_weakly_stable", LAM, 0, Fraction(3), 4),
+        ("classification", "destabilizer", "fixing_subspace_dim", "certificate_mu"),
+        ("not_weakly_stable", LAM, 0, Fraction(3)),
     ),
     (LinearVectorField, ("rows",), (((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))),)),
-    (InvarianceResult, ("invariant", "kappa"), (True, Fraction(3))),
     (WeightVector, ("values",), ((Fraction(1), Fraction(-1)),)),
-    (WeightSpectrum, ("entries",), ({Fraction(0): F},)),
 ]
 
 # Classes whose sample holds a dict, so hashing it fails like hashing the dict.
-HOLDS_DICT = {DegenerationFamily, DegenerationReport, WeightSpectrum}
+HOLDS_DICT = {DegenerationFamily, DegenerationReport}
 
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 
 
 def test_every_value_class_is_sampled():
-    assert len(SAMPLES) == 13 and len(set(IDS)) == 13
+    assert len(SAMPLES) == 11 and len(set(IDS)) == 11
 
 
 @pytest.mark.parametrize("cls, names, values", SAMPLES, ids=IDS)
@@ -101,9 +91,8 @@ def test_positional_and_keyword_construction_agree(cls, names, values):
 
 @pytest.mark.parametrize("cls, names, values", SAMPLES, ids=IDS)
 def test_wrong_arguments_raise_type_error(cls, names, values):
-    required = len(values) - (cls is StabilityVerdict)  # box_bound has a default
     with pytest.raises(TypeError):
-        cls(*values[: required - 1])
+        cls(*values[:-1])
     with pytest.raises(TypeError):
         cls(*values, values[-1])
     with pytest.raises(TypeError):
@@ -112,12 +101,23 @@ def test_wrong_arguments_raise_type_error(cls, names, values):
         cls(*values, **{names[0]: values[0]})
 
 
-def test_box_bound_defaults_to_none():
-    v = StabilityVerdict("stable", None, 0, None)
-    assert v.box_bound is None
-    assert v == StabilityVerdict("stable", None, 0, None, None)
-    assert v != StabilityVerdict("stable", None, 0, None, 3)
-    assert StabilityVerdict("stable", None, 0, None, box_bound=3).box_bound == 3
+def test_derived_values_follow_their_fields():
+    report = DegenerationReport(FAMILY, None, LAM, None)
+    assert report.special_fiber == F and report.trivial
+    two = DegenerationFamily(F, LAM, 2, {0: F, 3: F})
+    assert not DegenerationReport(two, None, LAM, None).trivial
+    stable = StabilityVerdict("stable", None, 0, None)
+    violation = CrosscheckViolation((1, -1, 0, 0), Fraction(-8), False, "negative_futaki")
+    for verdict, violations, weakly, consistent in (
+        (VERDICT, (violation,), False, False),
+        (VERDICT, (), False, True),
+        (stable, (), True, True),
+        (stable, (violation,), True, False),
+    ):
+        r = CrosscheckReport(verdict, 64, 2, violations)
+        assert (r.weakly_stable, r.box_consistent) == (weakly, consistent)
+        assert r.agreement == (weakly == consistent)
+    assert LinearProgram.maximize((1, 0, -1), [((1, 1, 1), "<=", 1)]).n_vars == 3
 
 
 def test_linear_vector_field_post_init():
@@ -168,9 +168,8 @@ def test_repr_text():
     )
     assert repr(StabilityVerdict("stable", None, 0, None)) == (
         "StabilityVerdict(classification='stable', destabilizer=None, "
-        "fixing_subspace_dim=0, certificate_mu=None, box_bound=None)"
+        "fixing_subspace_dim=0, certificate_mu=None)"
     )
-    assert repr(InvarianceResult(False, None)) == "InvarianceResult(invariant=False, kappa=None)"
 
 
 @pytest.mark.parametrize("cls, names, values", SAMPLES, ids=IDS)
@@ -193,11 +192,3 @@ def test_match_statement_destructures():
         case _:
             pytest.fail("positional pattern did not match")
 
-
-def test_record_rejects_a_required_field_after_a_default():
-    class Bad:
-        __annotations__ = {"a": int, "b": int}
-        a = 0
-
-    with pytest.raises(TypeError):
-        record(Bad)

@@ -110,21 +110,31 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _program_sources():
+    """(path, syntax tree) of every Python file of the program: the package,
+    the benchmark and the scripts."""
+    paths = []
+    for folder in ("src", "scripts", "perfbench"):
+        paths += glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True)
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            yield path, ast.parse(fh.read(), filename=path)
+
+
+def _in_package(path):
+    return os.path.dirname(os.path.abspath(path)) == os.path.abspath(PACKAGE)
+
+
 def test_every_package_function_is_referenced():
     # A module-level function, method or property that nothing in the
     # program calls, imports or names is dead code.  The package, the
     # benchmark and the scripts count as users, and so does a name listed in
     # `__all__`; a test alone does not keep code alive.
-    paths = []
-    for folder in ("src", "scripts", "perfbench"):
-        paths += glob.glob(os.path.join(ROOT, folder, "**", "*.py"), recursive=True)
     used = Counter()
     functions = []
-    for path in sorted(paths):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for path, tree in _program_sources():
         used += _referenced_names(tree)
-        if os.path.dirname(os.path.abspath(path)) == os.path.abspath(PACKAGE):
+        if _in_package(path):
             where = os.path.basename(path)
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -143,6 +153,33 @@ def test_every_package_function_is_referenced():
         if used[node.name] <= _referenced_names(node)[node.name]
     ]
     assert unused == []
+
+
+def test_every_record_field_is_read():
+    # A field of a package `@record` class that no program code reads as an
+    # attribute is dead data; a value that follows from other fields is a
+    # property, which cannot disagree with them.  `record` has no defaults, so
+    # a field must not carry one.
+    reads = set()
+    fields = []
+    for path, tree in _program_sources():
+        reads |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        if _in_package(path):
+            fields += [
+                (f"{os.path.basename(path)}:{cls.name}.{node.target.id}", node)
+                for cls in tree.body
+                if isinstance(cls, ast.ClassDef)
+                and any(isinstance(d, ast.Name) and d.id == "record" for d in cls.decorator_list)
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign)
+            ]
+    assert fields, "no record fields found"
+    assert [where for where, node in fields if node.target.id not in reads] == []
+    assert [where for where, node in fields if node.value is not None] == []
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():

@@ -94,7 +94,7 @@ def test_json_shape():
 def test_oracle_golden():
     f = hp("z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3", 4)
     v = oracle_classify(f, 6)
-    assert v.classification == NOT_WEAKLY_STABLE and v.box_bound == 6
+    assert v.classification == NOT_WEAKLY_STABLE
     assert v.certificate_mu > 0
     w = oracle_classify(hp("z0*z1 + z2*z3", 4), 3)
     assert w.classification == WEAKLY_STABLE_NOT_STABLE
@@ -109,24 +109,21 @@ def test_oracle_box_guard():
 
 
 def test_verdicts_consistent_rules():
-    mk = lambda cls, lam=None, box=None: StabilityVerdict(
+    mk = lambda cls, lam=None: StabilityVerdict(
         cls,
         WeightVector.from_values(lam) if lam else None,
         0,
         Fraction(0) if lam else None,
-        box,
     )
-    assert verdicts_consistent(mk(STABLE), mk(STABLE, box=3), 3)
-    assert verdicts_consistent(
-        mk(NOT_WEAKLY_STABLE, (1, -1)), mk(NOT_WEAKLY_STABLE, (1, -1), 3), 3
-    )
+    assert verdicts_consistent(mk(STABLE), mk(STABLE), 3)
+    assert verdicts_consistent(mk(NOT_WEAKLY_STABLE, (1, -1)), mk(NOT_WEAKLY_STABLE, (1, -1)), 3)
     # box found instability but LP says stable: impossible
-    assert not verdicts_consistent(mk(STABLE), mk(NOT_WEAKLY_STABLE, (1, -1), 3), 3)
+    assert not verdicts_consistent(mk(STABLE), mk(NOT_WEAKLY_STABLE, (1, -1)), 3)
     # LP witness beyond the box radius is invisible to the box
-    assert verdicts_consistent(mk(NOT_WEAKLY_STABLE, (9, -9)), mk(STABLE, box=3), 3)
-    assert not verdicts_consistent(mk(NOT_WEAKLY_STABLE, (2, -2)), mk(STABLE, box=3), 3)
+    assert verdicts_consistent(mk(NOT_WEAKLY_STABLE, (9, -9)), mk(STABLE), 3)
+    assert not verdicts_consistent(mk(NOT_WEAKLY_STABLE, (2, -2)), mk(STABLE), 3)
     # box found a fixing line but LP says stable: impossible
-    assert not verdicts_consistent(mk(STABLE), mk(WEAKLY_STABLE_NOT_STABLE, (1, -1), 3), 3)
+    assert not verdicts_consistent(mk(STABLE), mk(WEAKLY_STABLE_NOT_STABLE, (1, -1)), 3)
 
 
 def test_lp_and_oracle_agree_randomized():
@@ -186,7 +183,7 @@ cases = [
 print(sys.flags.optimize)
 for text, kind, witness in cases:
     try:
-        _verdict(parse_poly(text, 2), 0, None, kind, witness)
+        _verdict(parse_poly(text, 2), 0, kind, witness)
     except RuntimeError as exc:
         print(exc)
 
