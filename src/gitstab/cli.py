@@ -206,8 +206,12 @@ def cmd_degenerate(args) -> int:
     if args.from_destabilizer:
         if not args.weights:
             raise ValueError("--from-destabilizer needs -w with integer trace-zero weights")
+        if args.field is not None:
+            raise ValueError("--field and --from-destabilizer exclude each other; give one")
         report = from_destabilizer(f, WeightVector.parse(args.weights))
     elif args.field:
+        if args.weights is not None:
+            raise ValueError("-w is read only with --from-destabilizer, not with --field")
         report = build_degeneration(f, parse_field(args.field, f.n_vars))
     else:
         raise ValueError("degenerate needs --field or --from-destabilizer")
@@ -220,8 +224,8 @@ def cmd_degenerate(args) -> int:
     lines += [f"  s^{e}: {print_poly(p)}" for e, p in sorted(report.family.strata.items())]
     lines.append(f"special_fiber = {print_poly(report.special_fiber)}")
     lines.append(f"trivial = {report.trivial}")
-    if report.futaki is not None:
-        lines.append(f"futaki = {report.futaki.value}")
+    if payload["futaki"] is not None:  # the invariant, computed once by to_json
+        lines.append(f"futaki = {payload['futaki']}")
     lines.append(f"normalized_generator = {report.normalized_trace_zero_generator}")
     _emit(args, payload, lines)
     return EXIT_OK

@@ -10,6 +10,7 @@ rescaling s -> s^M, so the total space is again a hypersurface:
 
 with lambda~ the floor-normalized generator.  The family is trivial exactly
 when a single stratum remains, i.e. the generator fixes f projectively.
+A report's trace-zero generator and Futaki invariant are read off the family.
 
 `theorem_crosscheck` compares the two available answers to "is f weakly
 stable": the exact LP classification on one side, and on the other the sign
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from . import boxscan, linalg, poly, stability
+from . import boxscan, linalg, stability
 from .futaki import FutakiValue, check_fano_range, futaki_from_kappa, futaki_of_limit
 from .lazylog import LazyLogger
 from .poly import HPoly
@@ -66,17 +67,14 @@ class DegenerationFamily:
     strata: dict  # int exponent -> HPoly
 
     def fiber(self, s) -> HPoly:
-        """Evaluate the family at a rational parameter value."""
+        """G(s) at a rational s; strata sharing a monomial add up."""
         s = Fraction(s)
-        if s == 0:
-            return self.strata[0]
-        acc = None
-        for e, part in sorted(self.strata.items()):
-            piece = poly.scale(part, s**e)
-            acc = piece if acc is None else poly.add(acc, piece)
-        if acc is None:
-            raise RuntimeError("a fiber of a nonzero family cannot vanish")
-        return acc
+        terms: dict = {}
+        for e, part in self.strata.items():
+            se = s**e
+            for mono, c in part.terms.items():
+                terms[mono] = terms.get(mono, 0) + c * se
+        return HPoly(self.base_poly.n_vars, terms)
 
     @property
     def trivial(self) -> bool:
@@ -86,9 +84,19 @@ class DegenerationFamily:
 @record
 class DegenerationReport:
     family: DegenerationFamily
-    futaki: FutakiValue | None
-    normalized_trace_zero_generator: WeightVector
     basis_change: tuple | None  # eigenbasis columns, None when already diagonal
+
+    @property
+    def normalized_trace_zero_generator(self) -> WeightVector:
+        return self.family.generator.trace_zero().primitive_integer()
+
+    @property
+    def futaki(self) -> FutakiValue | None:
+        """Invariant of the limit inside the Fano range 1 < d < n+1, else None."""
+        f = self.family.base_poly
+        if not 1 < f.degree < f.n_vars:
+            return None
+        return futaki_of_limit(self.normalized_trace_zero_generator, f)
 
     @property
     def special_fiber(self) -> HPoly:
@@ -101,6 +109,7 @@ class DegenerationReport:
     def to_json(self) -> dict:
         from .poly import print_poly
 
+        futaki = self.futaki
         return {
             "f": print_poly(self.family.base_poly),
             "generator": [str(x) for x in self.family.generator],
@@ -108,7 +117,7 @@ class DegenerationReport:
             "strata": {str(e): print_poly(p) for e, p in sorted(self.family.strata.items())},
             "special_fiber": print_poly(self.special_fiber),
             "trivial": self.trivial,
-            "futaki": str(self.futaki.value) if self.futaki is not None else None,
+            "futaki": str(futaki.value) if futaki is not None else None,
             "normalized_generator": [int(x) for x in self.normalized_trace_zero_generator],
             "basis": None
             if self.basis_change is None
@@ -150,9 +159,8 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
         weights = eigvals
         log.debug("rewrote polynomial in an eigenbasis; weights %s", weights)
 
-    d = f.degree
     floor = mu(weights, f_work)
-    lam_tilde = weights.shifted(-Fraction(floor, d))
+    lam_tilde = weights.shifted(-Fraction(floor, f.degree))
 
     spectrum = weight_spectrum(lam_tilde, f_work)
     rescale = lcm(*(w.denominator for w in spectrum))
@@ -168,11 +176,7 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
     family = DegenerationFamily(f_work, lam_tilde, rescale, strata)
     if family.fiber(1) != f_work:
         raise RuntimeError("the family must pass through the polynomial at s=1")
-
-    tz = lam_tilde.trace_zero().primitive_integer()
-    n = f.n_vars - 1
-    fut = futaki_of_limit(tz, f_work) if 1 < d < n + 1 else None
-    return DegenerationReport(family, fut, tz, basis)
+    return DegenerationReport(family, basis)
 
 
 def from_destabilizer(f: HPoly, lmbda: WeightVector) -> DegenerationReport:
@@ -198,7 +202,11 @@ class CrosscheckViolation:
     generator: tuple  # integer trace-zero lambda
     futaki: Fraction
     trivial: bool
-    kind: str  # negative_futaki | zero_futaki_nontrivial | trivial_positive_futaki
+
+    @property
+    def kind(self) -> str | None:
+        """The weights' rule at -futaki: sign(futaki) = -sign(min weight) here."""
+        return _weight_kind(-self.futaki, self.trivial)
 
 
 @record
@@ -241,9 +249,9 @@ class CrosscheckReport:
         }
 
 
-def _weight_kind(lo: int, trivial: bool) -> str | None:
-    """Violation kind of a generator from its minimum support weight lo and
-    whether all its support weights agree; None when there is no violation."""
+def _weight_kind(lo, trivial: bool) -> str | None:
+    """Violation kind of a generator from its minimum support weight lo (or a
+    number of its sign) and whether all its support weights agree; else None."""
     if lo > 0:
         return "negative_futaki"
     if lo == 0 and not trivial:
@@ -257,11 +265,12 @@ def _audit_family(f: HPoly, lam: tuple, value: Fraction, trivial: bool):
     """Build the full family along lam and check it against the integer
     prediction of its invariant and triviality."""
     rep = from_destabilizer(f, WeightVector.from_values(lam))
-    if rep.futaki is None:
+    futaki = rep.futaki
+    if futaki is None:
         raise RuntimeError("crosscheck runs inside the Fano range")
-    if rep.futaki.value != value or rep.trivial != trivial:
+    if futaki.value != value or rep.trivial != trivial:
         raise RuntimeError(
-            f"family along {lam} has invariant {rep.futaki.value} (trivial={rep.trivial}), "
+            f"family along {lam} has invariant {futaki.value} (trivial={rep.trivial}), "
             f"but its integer weights predict {value} (trivial={trivial})"
         )
 
@@ -305,7 +314,7 @@ def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
             audited.add(kind)
             _audit_family(f, lam, value, trivial)
         if kind is not None:
-            violations.append(CrosscheckViolation(lam, value, trivial, kind))
+            violations.append(CrosscheckViolation(lam, value, trivial))
 
     report = CrosscheckReport(verdict, enumerated, bound, tuple(violations))
     if not report.agreement:

@@ -7,9 +7,10 @@ polynomial has invariant
     F = -(n+1-d) * (d-1) * ((n+1)/n) * kappa.
 
 This is the formal evaluation of that closed form: it does not verify any
-positivity or singularity hypotheses on the limit.  For trace-zero weights
-kappa equals the minimum weight mu, which is how `futaki_of_limit` computes
-it.  The invariant is exact; its sign is opposite to the sign of kappa.
+positivity or singularity hypotheses on the limit.  A `FutakiValue` stores
+(n, d, kappa); its `value` is the closed form.  For trace-zero weights kappa
+equals the minimum weight mu, which is how `futaki_of_limit` computes it.
+The invariant is exact; its sign is opposite to the sign of kappa.
 """
 
 from __future__ import annotations
@@ -24,10 +25,14 @@ from .weights import WeightVector, mu
 
 @record
 class FutakiValue:
-    value: Fraction
     n: int
     d: int
     kappa: Fraction
+
+    @property
+    def value(self) -> Fraction:
+        n, d = self.n, self.d
+        return -Fraction(n + 1 - d) * (d - 1) * Fraction(n + 1, n) * self.kappa
 
     def to_json(self) -> dict:
         return {
@@ -50,9 +55,7 @@ def check_fano_range(n: int, d: int):
 def futaki_from_kappa(n: int, d: int, kappa) -> FutakiValue:
     """Evaluate the closed form at an eigenvalue kappa."""
     check_fano_range(n, d)
-    kappa = frac(kappa)
-    value = -Fraction(n + 1 - d) * (d - 1) * Fraction(n + 1, n) * kappa
-    return FutakiValue(value, n, d, kappa)
+    return FutakiValue(n, d, frac(kappa))
 
 
 def futaki_of_limit(lmbda: WeightVector, f: HPoly) -> FutakiValue:

@@ -100,31 +100,6 @@ def support(f: HPoly) -> set:
     return set(f.terms)
 
 
-def add(f: HPoly, g: HPoly) -> HPoly | None:
-    """Sum of two polynomials of matching degree; None when everything cancels."""
-    if f.n_vars != g.n_vars:
-        raise ValueError("variable count mismatch")
-    if f.degree != g.degree:
-        raise ValueError(f"degree mismatch: {f.degree} vs {g.degree}")
-    out = dict(f.terms)
-    for mono, c in g.terms.items():
-        s = out.get(mono, Fraction(0)) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    if not out:
-        return None
-    return HPoly(f.n_vars, out)
-
-
-def scale(f: HPoly, c) -> HPoly:
-    c = frac(c)
-    if not c:
-        raise ValueError("scaling by zero would produce the zero polynomial")
-    return HPoly(f.n_vars, {m: c * v for m, v in f.terms.items()})
-
-
 def _mul_maps(a: Mapping, b: Mapping) -> dict:
     """Convolution of two raw term maps (not necessarily homogeneous)."""
     out: dict = {}

@@ -269,6 +269,19 @@ def test_degenerate_requires_a_field(capsys):
     assert code == 2 and "--field or --from-destabilizer" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--from-destabilizer", "-w=1,-1,0,0", "--field", "diag:1,0,0,-1"), "exclude each other"),
+        (("--field", "diag:1,0,0,-1", "-w=5,5,5,5"), "-w is read only with --from-destabilizer"),
+    ],
+    ids=["destabilizer-and-field", "field-and-weights"],
+)
+def test_degenerate_refuses_an_input_it_would_ignore(capsys, flags, message):
+    code, out, err = run(capsys, "degenerate", "-f", FERMAT, *flags)
+    assert code == 2 and message in err and out == ""
+
+
 def test_degenerate_nilpotent_obstruction_exits_two(capsys):
     rows = "[[0,1,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"
     code, out, err = run(capsys, "degenerate", "-f", "z0*z1^2 + z2^2*z3", "--field", rows)

@@ -10,6 +10,7 @@ from gitstab.degeneration import (
     CrosscheckReport,
     CrosscheckViolation,
     DegenerationError,
+    DegenerationFamily,
     build_degeneration,
     from_destabilizer,
     theorem_crosscheck,
@@ -108,6 +109,36 @@ def test_degenerations_along_random_destabilizers():
         assert rep.trivial == (len(weight_spectrum(lam, f)) == 1)
         if not lam.is_zero:
             assert rep.normalized_trace_zero_generator == lam.primitive_integer()
+
+
+def _fiber_terms(family, s):
+    """G(s) monomial by monomial: the sum over strata of coefficient * s^e."""
+    monos = {m for part in family.strata.values() for m in part.terms}
+    terms = {
+        m: sum(part.terms.get(m, 0) * Fraction(s) ** e for e, part in family.strata.items())
+        for m in monos
+    }
+    return {m: c for m, c in terms.items() if c}
+
+
+def test_fiber_sums_every_stratum_term():
+    params = (0, 1, 2, Fraction(1, 3), -1, Fraction(-5, 2))
+    rng = Random(1517)
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        f = random_hpoly(rng, n, rng.randint(2, 4), 8)
+        fam = from_destabilizer(f, random_trace_zero_ints(rng, n)).family
+        for s in params:
+            assert fam.fiber(s).terms == _fiber_terms(fam, s)
+    # two strata share z0^2, so their coefficients add (and cancel at s = -1)
+    a, b = hp("z0^2 + z1^2", 2), hp("z0^2 - z0*z1", 2)
+    base = hp("2*z0^2 + z1^2 - z0*z1", 2)
+    fam = DegenerationFamily(base, WeightVector.parse("0,1"), 1, {0: a, 1: b})
+    for s in params:
+        assert fam.fiber(s).terms == _fiber_terms(fam, s)
+    assert fam.fiber(1) == fam.base_poly
+    assert fam.fiber(-1) == hp("z1^2 + z0*z1", 2)
+    assert fam.fiber(0) == a
 
 
 def test_jordan_block_fixing_polynomial_degenerates():
@@ -283,7 +314,9 @@ def _crosscheck_reference(f, bound):
             kind = "trivial_positive_futaki"
         else:
             continue
-        violations.append(CrosscheckViolation(lam, value, rep.trivial, kind))
+        violation = CrosscheckViolation(lam, value, rep.trivial)
+        assert violation.kind == kind
+        violations.append(violation)
     return CrosscheckReport(verdict, enumerated, bound, tuple(violations))
 
 
@@ -319,7 +352,7 @@ def test_crosscheck_reports_invariant_of_primitive_generator():
 
 def test_crosscheck_audit_catches_a_wrong_family_invariant(monkeypatch):
     def wrong(lmbda, f):
-        return FutakiValue(Fraction(12345), f.n_vars - 1, f.degree, Fraction(0))
+        return FutakiValue(f.n_vars - 1, f.degree, Fraction(12345))
 
     monkeypatch.setattr(degeneration, "futaki_of_limit", wrong)
     with pytest.raises(RuntimeError, match="predict"):

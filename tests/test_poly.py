@@ -8,10 +8,8 @@ import pytest
 from gitstab.poly import (
     HPoly,
     PolyParseError,
-    add,
     parse_poly,
     print_poly,
-    scale,
     support,
 )
 from helpers import random_hpoly
@@ -113,18 +111,6 @@ def test_roundtrip_random():
         n = rng.randint(2, 5)
         f = random_hpoly(rng, n, rng.randint(1, 6), 8, den_bound=4)
         assert parse_poly(print_poly(f), n) == f
-
-
-def test_add_scale_negate():
-    f = parse_poly("z0^2 + z1^2", 2)
-    g = parse_poly("z0^2 - z1^2", 2)
-    assert add(f, g).terms == {(2, 0): Fraction(2)}
-    assert add(f, scale(f, -1)) is None
-    assert scale(f, Fraction(1, 2)).terms[(2, 0)] == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        scale(f, 0)
-    with pytest.raises(ValueError):
-        add(f, parse_poly("z0^3", 2))
 
 
 def test_support_and_euler():

@@ -7,6 +7,7 @@ Every field is required; values that follow from the fields are properties.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -17,7 +18,7 @@ from gitstab.degeneration import (
     DegenerationFamily,
     DegenerationReport,
 )
-from gitstab.futaki import FutakiValue
+from gitstab.futaki import FutakiValue, futaki_of_limit
 from gitstab.lp import LinearProgram, LPOutcome
 from gitstab.poly import parse_poly
 from gitstab.record import record
@@ -40,20 +41,20 @@ SAMPLES = [
     (DegenerationFamily, ("base_poly", "generator", "s_rescale", "strata"), (F, LAM, 2, {0: F})),
     (
         DegenerationReport,
-        ("family", "futaki", "normalized_trace_zero_generator", "basis_change"),
-        (FAMILY, None, LAM, None),
+        ("family", "basis_change"),
+        (FAMILY, None),
     ),
     (
         CrosscheckViolation,
-        ("generator", "futaki", "trivial", "kind"),
-        ((1, -1, 0, 0), Fraction(-8), False, "negative_futaki"),
+        ("generator", "futaki", "trivial"),
+        ((1, -1, 0, 0), Fraction(-8), False),
     ),
     (
         CrosscheckReport,
         ("verdict", "enumerated", "bound", "violations"),
         (VERDICT, 64, 2, ()),
     ),
-    (FutakiValue, ("value", "n", "d", "kappa"), (Fraction(-8), 3, 3, Fraction(3))),
+    (FutakiValue, ("n", "d", "kappa"), (3, 3, Fraction(3))),
     (
         LinearProgram,
         ("objective", "constraints"),
@@ -102,12 +103,44 @@ def test_wrong_arguments_raise_type_error(cls, names, values):
 
 
 def test_derived_values_follow_their_fields():
-    report = DegenerationReport(FAMILY, None, LAM, None)
+    report = DegenerationReport(FAMILY, None)
     assert report.special_fiber == F and report.trivial
     two = DegenerationFamily(F, LAM, 2, {0: F, 3: F})
-    assert not DegenerationReport(two, None, LAM, None).trivial
+    assert not DegenerationReport(two, None).trivial
+
+    # the generator (6,0,3,3) is (1,-1,0,0) once trace-free and primitive
+    gen = WeightVector.parse("6,0,3,3")
+    report = DegenerationReport(DegenerationFamily(F, gen, 1, {0: F}), None)
+    tz = WeightVector.parse("1,-1,0,0")
+    assert report.normalized_trace_zero_generator == tz
+    assert report.futaki == futaki_of_limit(tz, F)
+    # outside the Fano window 1 < d < n+1 there is no invariant
+    for text, n_vars in (("z0^4 + z1^4 + z2^4 + z3^4", 4), ("z0 + z1", 4), ("z0^2 + z1^2", 2)):
+        g = parse_poly(text, n_vars)
+        outside = DegenerationFamily(g, WeightVector.from_values([0] * n_vars), 1, {0: g})
+        assert DegenerationReport(outside, None).futaki is None
+
+    rng = Random(1515)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        d = rng.randint(2, n)
+        kappa = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        closed_form = -(n + 1 - d) * (d - 1) * Fraction(n + 1, n) * kappa
+        assert FutakiValue(n, d, kappa).value == closed_form
+
+    # the kind of a generator follows the sign of its invariant and triviality
+    for futaki, trivial, kind in (
+        (Fraction(-8), False, "negative_futaki"),
+        (Fraction(-8), True, "negative_futaki"),
+        (Fraction(0), False, "zero_futaki_nontrivial"),
+        (Fraction(0), True, None),
+        (Fraction(8, 3), True, "trivial_positive_futaki"),
+        (Fraction(8, 3), False, None),
+    ):
+        assert CrosscheckViolation((1, -1, 0, 0), futaki, trivial).kind == kind
+
     stable = StabilityVerdict("stable", None, 0, None)
-    violation = CrosscheckViolation((1, -1, 0, 0), Fraction(-8), False, "negative_futaki")
+    violation = CrosscheckViolation((1, -1, 0, 0), Fraction(-8), False)
     for verdict, violations, weakly, consistent in (
         (VERDICT, (violation,), False, False),
         (VERDICT, (), False, True),

@@ -159,7 +159,7 @@ def _psf(v):
 
 
 def test_chevalley_postconditions_and_uniqueness():
-    pytest.importorskip("sympy")
+    pytest.importorskip("sympy", exc_type=ImportError)
     rng = Random(41)
     for _ in range(100):
         m = _random_interesting_matrix(rng, 4)
@@ -338,7 +338,7 @@ def test_rational_roots_non_split_golden():
 
 
 def test_rational_roots_against_sympy():
-    sympy = pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy", exc_type=ImportError)
     x = sympy.Symbol("x")
     rng = Random(44)
     verdicts = set()

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from gitstab.poly import add, parse_poly
+from gitstab.poly import parse_poly
 from gitstab.weights import WeightVector, limit_poly, mu, weight_spectrum
 from helpers import hp, random_hpoly, random_weights
 
@@ -61,10 +61,9 @@ def test_spectrum_partitions():
         f = random_hpoly(rng, n, rng.randint(1, 5), 8, den_bound=3)
         lam = random_weights(rng, n, den_bound=3)
         spec = weight_spectrum(lam, f)
-        total = None
-        for part in spec.values():
-            total = part if total is None else add(total, part)
-        assert total == f
+        # the strata split f's terms: disjoint supports whose union is f
+        assert sum(len(part.terms) for part in spec.values()) == len(f.terms)
+        assert {m: c for part in spec.values() for m, c in part.terms.items()} == f.terms
         assert min(spec) == mu(lam, f)
 
 
