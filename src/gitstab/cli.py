@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from itertools import chain
 from random import Random
@@ -26,7 +25,7 @@ from .degeneration import build_degeneration, from_destabilizer, theorem_crossch
 from .futaki import futaki_of_limit
 from .lazylog import configure_on_first_use
 from .linalg import frac, mat_inv
-from .poly import HPoly, parse_poly, print_poly
+from .poly import HPoly, infer_n_vars, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, classify_torus
 from .vfield import parse_field, parse_matrix, substitute_linear
 from .weights import WeightVector, mu, weight_spectrum, limit_poly
@@ -50,11 +49,6 @@ def _parse_input(text, n_vars) -> HPoly:
     return parse_poly(text, n_vars)
 
 
-def _infer_n_vars(text: str) -> int:
-    indices = [int(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
-    return max(max(indices, default=1) + 1, 2)
-
-
 def _load_poly(args) -> HPoly:
     if getattr(args, "poly_file", None):
         with open(args.poly_file) as fh:
@@ -63,7 +57,7 @@ def _load_poly(args) -> HPoly:
         text = args.poly
     if text is None:
         raise ValueError("no polynomial given; use -f or --poly-file")
-    n = args.n_vars if args.n_vars is not None else _infer_n_vars(text)
+    n = args.n_vars if args.n_vars is not None else infer_n_vars(text)
     return _parse_input(text, n)
 
 
@@ -155,6 +149,8 @@ def _classify_with_bases(args, f: HPoly):
 
 
 def cmd_stability(args) -> int:
+    if args.basis_sweep < 0:
+        raise ValueError(f"--basis-sweep must be at least 0, got {args.basis_sweep}")
     f = _load_poly(args)
     (verdict, basis), tried = _classify_with_bases(args, f)
     basis_field = "given" if basis == "given" else _basis_json(basis)
@@ -209,7 +205,7 @@ def cmd_degenerate(args) -> int:
         if args.field is not None:
             raise ValueError("--field and --from-destabilizer exclude each other; give one")
         report = from_destabilizer(f, WeightVector.parse(args.weights))
-    elif args.field:
+    elif args.field is not None:
         if args.weights is not None:
             raise ValueError("-w is read only with --from-destabilizer, not with --field")
         report = build_degeneration(f, parse_field(args.field, f.n_vars))
@@ -271,6 +267,8 @@ def _print_rows(rows) -> int:
 
 
 def cmd_corpus(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.path == "-":
         lines = sys.stdin.read().splitlines()
     else:

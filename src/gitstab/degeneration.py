@@ -39,7 +39,7 @@ from operator import mul
 from . import boxscan, linalg, stability
 from .futaki import FutakiValue, check_fano_range, futaki_from_kappa, futaki_of_limit
 from .lazylog import LazyLogger
-from .poly import HPoly
+from .poly import HPoly, print_poly
 from .record import record
 from .vfield import (
     LinearVectorField,
@@ -107,8 +107,6 @@ class DegenerationReport:
         return self.family.trivial
 
     def to_json(self) -> dict:
-        from .poly import print_poly
-
         futaki = self.futaki
         return {
             "f": print_poly(self.family.base_poly),

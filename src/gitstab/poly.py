@@ -8,11 +8,12 @@ a single total degree.
 
 The text format is deliberately small:
 
-    poly   := term (('+'|'-') term)*
+    poly   := [sign] term (sign term)*
+    sign   := '+' | '-'
     term   := [coeff '*'] factor ('*' factor)*
     factor := var ['^' posint]
     var    := 'z' index
-    coeff  := ['-'] int ['/' posint]
+    coeff  := int ['/' posint]
 
 Whitespace is insignificant.  `parse_poly` and `print_poly` are mutually
 inverse on canonical output: printing orders terms by descending lexicographic
@@ -114,22 +115,24 @@ def _mul_maps(a: Mapping, b: Mapping) -> dict:
     return out
 
 
-_TOKEN = re.compile(r"z(\d+)|(\d+)|([-+*/^])|(\S)")
+_TOKEN = re.compile(r"z(?P<var>\d+)|(?P<int>\d+)|(?P<op>[-+*/^])|(?P<bad>\S)")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, value, position) per token, then the sentinel (None, None, len(text))."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        pos = m.start()
-        if m.group(1) is not None:
-            tokens.append(("var", int(m.group(1)), pos))
-        elif m.group(2) is not None:
-            tokens.append(("int", int(m.group(2)), pos))
-        elif m.group(3) is not None:
-            tokens.append(("op", m.group(3), pos))
-        else:
-            raise PolyParseError(f"unexpected character {m.group(4)!r}", pos)
-    return tokens
+        kind, val = m.lastgroup, m[m.lastgroup]
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {val!r}", m.start())
+        tokens.append((kind, val if kind == "op" else int(val), m.start()))
+    return tokens + [(None, None, len(text))]
+
+
+def infer_n_vars(text: str) -> int:
+    """One more than the highest variable index the text names, and at least 2."""
+    indices = (int(m["var"]) for m in _TOKEN.finditer(text) if m.lastgroup == "var")
+    return max(2, 1 + max(indices, default=0))
 
 
 def parse_poly(text: str, n_vars: int) -> HPoly:
@@ -143,86 +146,58 @@ def parse_poly(text: str, n_vars: int) -> HPoly:
     if n_vars < 2:
         raise ValueError(f"n_vars must be at least 2, got {n_vars}")
     tokens = _tokenize(text)
-    end = len(text)
+    if tokens[0][0] is None:
+        raise PolyParseError("empty input", len(text))
     i = 0
 
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None, end)
+    def take(kind, val=None):
+        """Consume and return the next token's value if it has this kind (and a value in val)."""
+        nonlocal i
+        k, v, _ = tokens[i]
+        if k == kind and (val is None or v in val):
+            i += 1
+            return v
 
-    terms: dict = {}
-    degrees = set()
-    first = True
-    while True:
-        kind, val, pos = peek()
-        if kind is None:
-            if first:
-                raise PolyParseError("empty input", pos)
-            break
-        # sign separator (optional leading sign on the first term)
-        sign = 1
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-            kind, val, pos = peek()
-        elif not first:
-            raise PolyParseError(f"expected '+' or '-' between terms", pos)
-        first = False
-        # optional coefficient
+    def positive(op, missing, what):
+        """The positive integer after the operator op, or 1 when op is not next."""
+        if take("op", op) is None:
+            return 1
+        pos = tokens[i][2]
+        val = take("int")
+        if not val:
+            raise PolyParseError(missing if val is None else f"{what} must be positive", pos)
+        return val
+
+    terms, degrees = {}, set()
+    sign = take("op", "+-") or "+"  # optional before the first term, required after
+    while sign:
         coeff = Fraction(1)
-        if kind == "int":
-            num = val
-            i += 1
-            kind, val, pos = peek()
-            den = 1
-            if kind == "op" and val == "/":
-                i += 1
-                kind, val, pos = peek()
-                if kind != "int":
-                    raise PolyParseError("expected denominator after '/'", pos)
-                if val == 0:
-                    raise PolyParseError("denominator must be positive", pos)
-                den = val
-                i += 1
-                kind, val, pos = peek()
-            coeff = Fraction(num, den)
-            if kind != "op" or val != "*":
-                raise PolyParseError("expected '*' between coefficient and variables", pos)
-            i += 1
-            kind, val, pos = peek()
-        # one or more '*'-separated factors
+        num = take("int")
+        if num is not None:
+            coeff = Fraction(num, positive("/", "expected denominator after '/'", "denominator"))
+            if take("op", "*") is None:
+                raise PolyParseError("expected '*' between coefficient and variables", tokens[i][2])
         mono = [0] * n_vars
-        while True:
-            if kind != "var":
+        while True:  # one or more '*'-separated factors
+            pos = tokens[i][2]
+            idx = take("var")
+            if idx is None:
                 raise PolyParseError("expected a variable like z0", pos)
-            idx = val
             if idx >= n_vars:
                 raise PolyParseError(f"variable z{idx} out of range for n_vars={n_vars}", pos)
-            i += 1
-            kind, val, pos = peek()
-            exp = 1
-            if kind == "op" and val == "^":
-                i += 1
-                kind, val, pos = peek()
-                if kind != "int":
-                    raise PolyParseError("expected an integer exponent after '^'", pos)
-                if val == 0:
-                    raise PolyParseError("exponent must be positive", pos)
-                exp = val
-                i += 1
-                kind, val, pos = peek()
-            mono[idx] += exp
-            if kind == "op" and val == "*":
-                i += 1
-                kind, val, pos = peek()
-                continue
-            break
+            mono[idx] += positive("^", "expected an integer exponent after '^'", "exponent")
+            if take("op", "*") is None:
+                break
         key = tuple(mono)
         degrees.add(sum(key))
-        c = terms.get(key, Fraction(0)) + sign * coeff
+        c = terms.get(key, Fraction(0)) + (-coeff if sign == "-" else coeff)
         if c:
             terms[key] = c
         else:
             terms.pop(key, None)
+        sign = take("op", "+-")
+        if sign is None and tokens[i][0] is not None:
+            raise PolyParseError("expected '+' or '-' between terms", tokens[i][2])
 
     if len(degrees) > 1:
         raise PolyParseError(f"inhomogeneous polynomial: degrees {sorted(degrees)}", 0)

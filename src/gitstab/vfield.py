@@ -26,8 +26,9 @@ from .poly import HPoly, _mul_maps
 from .record import record
 from .weights import WeightVector
 
-# Newton iteration doubles the nilpotency order it has corrected for, so even
-# with every safety margin this cap is far beyond what dimension <= 16 needs.
+# Newton iteration doubles the nilpotency order it has corrected for, so
+# dimension n needs about ceil(log2 n) steps: 8 at the CLI's limit of 256
+# variables, far below this cap.
 _NEWTON_CAP = 24
 
 # Refuse substitutions whose expansion takes more coefficient products than

@@ -32,7 +32,7 @@ class WeightVector:
     def parse(cls, text: str) -> "WeightVector":
         """Parse a comma-separated list like '-7,5,1,1' or '-1/2,1/2,0,0'."""
         parts = [p.strip() for p in text.split(",")]
-        if not parts or any(not p for p in parts):
+        if not all(parts):
             raise ValueError(f"malformed weight list {text!r}")
         try:
             return cls.from_values(parts)

@@ -226,6 +226,11 @@ def test_basis_sweep_stops_once_not_weakly_stable(capsys, monkeypatch):
     assert len(bases) == len(drawn) == 2
 
 
+def test_stability_refuses_a_negative_basis_sweep(capsys):
+    code, out, err = run(capsys, "stability", "-f", "z0^2+z1^2", "--basis-sweep", "-1")
+    assert (code, out, err) == (2, "", "error: --basis-sweep must be at least 0, got -1\n")
+
+
 def test_destabilize(capsys):
     code, payload = run_json(capsys, "destabilize", "-f", UNSTABLE_CUBIC)
     assert code == 4 and payload["destabilizer"] is not None
@@ -282,6 +287,11 @@ def test_degenerate_refuses_an_input_it_would_ignore(capsys, flags, message):
     assert code == 2 and message in err and out == ""
 
 
+def test_degenerate_empty_field_is_a_malformed_field(capsys):
+    code, out, err = run(capsys, "degenerate", "-f", FERMAT, "--field", "")
+    assert code == 2 and out == "" and err.startswith("error: malformed field matrix: ")
+
+
 def test_degenerate_nilpotent_obstruction_exits_two(capsys):
     rows = "[[0,1,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"
     code, out, err = run(capsys, "degenerate", "-f", "z0*z1^2 + z2^2*z3", "--field", rows)
@@ -328,6 +338,13 @@ def test_corpus_single_worker(capsys, tmp_path):
         "weakly_stable_not_stable",
         "not_weakly_stable",
     ]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_corpus_refuses_fewer_than_one_worker(capsys, monkeypatch, workers):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(_corpus_lines()) + "\n"))
+    code, out, err = run(capsys, "corpus", "-", "--workers", workers)
+    assert (code, out, err) == (2, "", f"error: --workers must be at least 1, got {workers}\n")
 
 
 def test_corpus_reports_bad_rows(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from gitstab.poly import (
     HPoly,
     PolyParseError,
+    infer_n_vars,
     parse_poly,
     print_poly,
     support,
@@ -48,28 +49,39 @@ def test_parse_cancellation_within_input():
 def test_parse_leading_sign():
     f = parse_poly("- 3/2*z0^3 + z1^3", 2)
     assert f.terms[(3, 0)] == Fraction(-3, 2)
+    assert parse_poly("+z0^2 + z1^2", 2).terms == {(2, 0): 1, (0, 2): 1}
+
+
+def _error_case(text, message, position, short=None):
+    # A case's id is its text and a short form of its message, as it has always been.
+    return pytest.param(text, message, position, id=f"{text}-{short or message}")
 
 
 @pytest.mark.parametrize(
-    "text,fragment",
+    "text,message,position",
     [
-        ("", "empty input"),
-        ("z0^2 + ", "expected a variable"),
-        ("z0^2 z1", "expected '+' or '-'"),
-        ("3z0", "expected '*'"),
-        ("z0^0", "exponent must be positive"),
-        ("z0^2 * 3", "expected a variable"),
-        ("w0^2", "unexpected character"),
-        ("z9^2", "out of range"),
-        ("z0^2 + z1", "inhomogeneous"),
-        ("z0^2 - z0^2", "cancels to zero"),
-        ("1/0*z0", "denominator must be positive"),
+        _error_case("", "empty input", 0),
+        _error_case("z0^2 + ", "expected a variable like z0", 7, "expected a variable"),
+        _error_case("z0^2 z1", "expected '+' or '-' between terms", 5, "expected '+' or '-'"),
+        _error_case("3z0", "expected '*' between coefficient and variables", 1, "expected '*'"),
+        _error_case("z0^0", "exponent must be positive", 3),
+        _error_case("z0^2 * 3", "expected a variable like z0", 7, "expected a variable"),
+        _error_case("w0^2", "unexpected character 'w'", 0, "unexpected character"),
+        _error_case("z9^2", "variable z9 out of range for n_vars=4", 0, "out of range"),
+        _error_case("z0^2 + z1", "inhomogeneous polynomial: degrees [1, 2]", 0, "inhomogeneous"),
+        _error_case("z0^2 - z0^2", "polynomial cancels to zero", 0, "cancels to zero"),
+        _error_case("1/0*z0", "denominator must be positive", 2),
+        _error_case("1/*z0", "expected denominator after '/'", 2),
+        _error_case("z0^*z1", "expected an integer exponent after '^'", 3),
+        # a sign separates terms; it never starts a coefficient
+        _error_case("z0^2 + -3*z1^2", "expected a variable like z0", 7),
     ],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, message, position):
     with pytest.raises(PolyParseError) as err:
         parse_poly(text, 4)
-    assert fragment in str(err.value)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def test_parse_error_reports_position():
@@ -81,6 +93,15 @@ def test_parse_error_reports_position():
 def test_parse_requires_two_variables():
     with pytest.raises(ValueError):
         parse_poly("z0^2", 1)
+
+
+@pytest.mark.parametrize(
+    "text,n_vars",
+    [("", 2), ("3*w^2", 2), ("z0^2", 2), ("z12", 13), ("z1 + @z4*zz2", 5), ("2z3 z007", 8)],
+)
+def test_infer_n_vars(text, n_vars):
+    # one more than the highest zK index, at least 2; a stray character is skipped
+    assert infer_n_vars(text) == n_vars
 
 
 def test_print_golden():
