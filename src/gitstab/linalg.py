@@ -1,9 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
-Everything here works with Fraction entries, so results are exact and
-deterministic; there are no tolerances anywhere.  Matrices are small (the
-ambient dimension is the number of coordinates, rarely above 8), so the
-quadratic and cubic algorithms below are perfectly adequate.
+Everything here is exact and deterministic; there are no tolerances
+anywhere.  Most kernels work on Fraction entries.  Two are fraction-free:
+`charpoly` and `poly_eval_matrix` scale the matrix to integers once (D*A,
+with D the lcm of its denominators), run their recurrence on ints, and
+divide once per output entry at the end, so their outputs are still
+Fractions, the same reduced values the Fraction recurrence gives.
+Matrices are small (the ambient dimension is the number of coordinates,
+rarely above 8), so the quadratic and cubic algorithms below are perfectly
+adequate.
 
 Gauss-Jordan elimination (`rref`, and through it `nullspace` and `mat_inv`;
 the simplex in `lp` pivots with the same step) goes through `eliminate`,
@@ -152,6 +157,20 @@ def mat_inv(a):
     return tuple(tuple(red[i][n:]) for i in range(n))
 
 
+def _integer_scaled(a):
+    """(D, B, times) for a rational square matrix a: D is the lcm of the
+    denominators of a, B = D*a as integer row lists, and times(m) the
+    integer product B*m of a row-list integer matrix m, as row lists."""
+    den = lcm(*(x.denominator for r in a for x in r))
+    b = [[x.numerator * (den // x.denominator) for x in r] for r in a]
+
+    def times(m):
+        cols = tuple(zip(*m))
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+
+    return den, b, times
+
+
 def charpoly(a):
     """Characteristic polynomial via the Faddeev-LeVerrier recurrence.
 
@@ -162,18 +181,15 @@ def charpoly(a):
     c_i = b_i / D^(n-i) touches Fractions.
     """
     n = len(a)
-    den = lcm(*(x.denominator for r in a for x in r))
-    b = [[x.numerator * (den // x.denominator) for x in r] for r in a]
+    den, b, times = _integer_scaled(a)
+    m = [row[:] for row in b]  # shifted in place below; b must stay B
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    m = b
     for k in range(1, n + 1):
         if k > 1:
-            shifted = [row[:] for row in m]
             for i in range(n):
-                shifted[i][i] += coeffs[n - k + 1]
-            cols = tuple(zip(*shifted))
-            m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+                m[i][i] += coeffs[n - k + 1]
+            m = times(m)
         c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
         if rem:
             raise RuntimeError("Faddeev-LeVerrier trace must divide exactly over the integers")
@@ -243,15 +259,31 @@ def poly_squarefree_part(p):
 
 
 def poly_eval_matrix(p, a):
-    """p(a) by Horner's rule, one matrix product per degree."""
+    """p(a) by Horner's rule, fraction-free.
+
+    With D the lcm of the denominators of a and C that of p's coefficients,
+    Horner runs on the integer matrix B = D*a and the integers e_k = C*p[k]:
+    M = e_m*I, then M <- B*M + e_k*D^(m-k)*I for k = m-1, ..., 0, which
+    leaves M = C*D^m*p(a) (B*M = M*B, as M is a polynomial in B).  Each
+    entry becomes one Fraction at the end, so the result is the reduced
+    p(a), entry for entry.
+    """
     p = poly_trim(p)
-    acc = zero_matrix(len(a))
+    n = len(a)
     if not p:
-        return acc
-    acc = mat_shift(acc, p[-1])
-    for c in reversed(p[:-1]):
-        acc = mat_shift(mat_mul(acc, a), c)
-    return acc
+        return zero_matrix(n)
+    cden = lcm(*(c.denominator for c in p))
+    *rest, lead = (c.numerator * (cden // c.denominator) for c in p)
+    den, _, times = _integer_scaled(a)
+    m = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
+    scale = 1
+    for e in reversed(rest):
+        m = times(m)
+        scale *= den
+        for i, row in enumerate(m):
+            row[i] += e * scale
+    scale *= cden
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in m)
 
 
 # -- integerization --

@@ -162,6 +162,27 @@ def random_invertible(rng: Random, n: int, bound: int = 3):
         return m
 
 
+def fraction_horner(p, a):
+    """p(a) by Horner's rule on Fraction matrices, one product per degree.
+
+    The plain reference for linalg.poly_eval_matrix, which runs the same
+    recurrence on integers."""
+    n = len(a)
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    acc = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    for c in reversed(p):
+        acc = tuple(
+            tuple(
+                sum((acc[i][k] * a[k][j] for k in range(n)), Fraction(0)) + (c if i == j else 0)
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    return acc
+
+
 def naive_multiply(f: HPoly, g: HPoly) -> HPoly:
     """Schoolbook product of two polynomials, for checking derivations."""
     acc = {}

@@ -1,6 +1,7 @@
 """Exact linear algebra building blocks."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -70,17 +71,41 @@ def _poly_of_matrix_from_definition(p, a):
 
 def test_poly_eval_matrix_matches_the_definition():
     rng = Random(29)
-    for n in range(1, 7):
-        for _ in range(8):
-            m = tuple(
-                tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
-                for _ in range(n)
-            )
-            for length in range(6):  # 0 is the empty polynomial, 1 a constant
-                p = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length))
-                got = linalg.poly_eval_matrix(p, m)
-                assert got == _poly_of_matrix_from_definition(p, m)
-                assert all(isinstance(x, Fraction) for r in got for x in r)
+    matrices = [
+        tuple(
+            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+            for _ in range(n)
+        )
+        for n in range(1, 7)
+        for _ in range(8)
+    ]
+    # int entries, as charpoly's tests pass them; zero and 1x1 matrices
+    matrices += [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((2, -1), (3, 0)), ((0, 0), (0, 0))]
+    matrices += [linalg.zero_matrix(3), ((Fraction(-5, 7),),), ((4,),), ((0,),)]
+    polys = [(), (0,), (Fraction(0), Fraction(0)), (Fraction(-7, 3),), (4,), (1, 0, 0)]
+    for m in matrices:
+        randoms = [  # length 0 is the empty polynomial, 1 a constant
+            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length))
+            for length in range(6)
+        ]
+        for p in polys + randoms + [(-2, 0, 1), (1, 1, 1, 1)]:
+            got = linalg.poly_eval_matrix(p, m)
+            assert got == _poly_of_matrix_from_definition(p, m)
+            assert all(isinstance(x, Fraction) for r in got for x in r)
+    # Distinct large primes as denominators: the integer scale C*D^m of the
+    # fraction-free evaluation then runs well past 2**64.
+    primes = [2**31 - 1, 2**61 - 1, 10**9 + 7, 10**9 + 9, 998244353, 2**89 - 1]
+    m = (
+        (Fraction(3, primes[0]), Fraction(-1, primes[1])),
+        (Fraction(5, primes[2]), Fraction(7, 11)),
+    )
+    p = (Fraction(1, primes[3]), Fraction(-2, primes[4]), Fraction(0), Fraction(5, primes[5]))
+    den = lcm(*(x.denominator for r in m for x in r))
+    assert lcm(*(c.denominator for c in p)) * den ** (len(p) - 1) > 2**64
+    got = linalg.poly_eval_matrix(p, m)
+    assert got == _poly_of_matrix_from_definition(p, m)
+    assert all(isinstance(x, Fraction) for r in got for x in r)
+    assert max(x.denominator for r in got for x in r) > 2**64
 
 
 def test_poly_division_and_gcd():

@@ -33,6 +33,36 @@ def test_package_has_no_runtime_assert():
     assert found == []
 
 
+def test_package_has_no_float():
+    # Shipped code is exact: no float constants, no `float`, and none of the
+    # floating-point `math` functions (integer helpers such as isqrt are fine).
+    inexact = {"isclose", "sqrt", "log", "exp"}
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    assert paths, "package sources not found"
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        where = os.path.basename(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{where}:{node.lineno} float")
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in inexact
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+            ):
+                found.append(f"{where}:{node.lineno} math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [
+                    f"{where}:{node.lineno} math.{a.name}" for a in node.names if a.name in inexact
+                ]
+    assert found == []
+
+
 def _import_time_nodes(tree):
     """Statements run when the module is imported: everything outside a
     function body (class bodies run at import too)."""

@@ -19,6 +19,7 @@ from gitstab.vfield import (
     substitute_linear,
 )
 from helpers import (
+    fraction_horner,
     hp,
     naive_derivation,
     naive_multiply,
@@ -255,6 +256,57 @@ def test_build_degeneration_computes_one_charpoly_per_field(monkeypatch):
     calls.clear()
     degeneration.build_degeneration(fermat, LinearVectorField.diagonal([1, 0, 0, -1]))
     assert calls == []
+
+
+def _conjugated_field(rng: Random, kind: str, n: int) -> LinearVectorField:
+    """P^-1 * core * P for a random invertible P, never diagonal.  The core is
+    diagonal with distinct small rationals ("rational"), has a Jordan block
+    of size 2 or 3 ("nilpotent"), or a companion block of x^2 - q with q not
+    a square ("irrational")."""
+    eigs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+    core = [[eigs[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    if kind == "rational":
+        eigs[1] = eigs[0] + 1  # never scalar, so never its own conjugate
+        core[1][1] = eigs[1]
+    elif kind == "nilpotent":
+        for i in range(min(n, rng.choice((2, 3))) - 1):
+            core[i + 1][i + 1] = eigs[0]
+            core[i][i + 1] = Fraction(1)
+    else:
+        core[0][0] = core[1][1] = Fraction(0)
+        core[0][1], core[1][0] = Fraction(1), Fraction(rng.choice((2, 3, 5, 6, 7)))
+    while True:
+        p = random_invertible(rng, n, 1)
+        m = linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(tuple(map(tuple, core)), p))
+        v = LinearVectorField(m)
+        if not v.is_diagonal:
+            return v
+
+
+def _split_and_degeneration(f, v):
+    from gitstab import degeneration
+
+    split = chevalley_split(v, _psf(v))
+    try:
+        report = degeneration.build_degeneration(f, v).to_json()
+    except degeneration.DegenerationError as exc:
+        report = str(exc)
+    return split, report
+
+
+def test_fraction_free_evaluation_leaves_split_and_degeneration_unchanged(monkeypatch):
+    # The Chevalley split and every degeneration report are exactly those of
+    # a plain Fraction Horner evaluation, on conjugated fields of each kind.
+    rng = Random(1968)
+    kinds = ("rational", "nilpotent", "irrational")
+    for i in range(150):
+        n, kind = 2 + i % 7, kinds[i % 3]
+        v = _conjugated_field(rng, kind, n)
+        f = random_hpoly(rng, n, 3, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "poly_eval_matrix", fraction_horner)
+            expected = _split_and_degeneration(f, v)
+        assert _split_and_degeneration(f, v) == expected
 
 
 def test_rational_diagonalize_random_conjugates():
