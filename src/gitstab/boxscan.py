@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from bisect import insort
 from itertools import product
-from math import gcd
 from operator import mul
 
+from .linalg import primitive
 from .record import record
 
 # Read by perfbench/run.py's run metadata; there is no compiled kernel.
@@ -48,12 +48,6 @@ def check_box_size(n_vars: int, bound: int):
         )
 
 
-def _primitive(v):
-    """v divided by the gcd of its entries (the zero vector stays as it is)."""
-    g = gcd(*v)
-    return [a // g for a in v] if g > 1 else v
-
-
 def _absorb(basis, vec):
     """Reduce vec against the echelon basis; extend the basis if independent.
 
@@ -66,13 +60,13 @@ def _absorb(basis, vec):
         c = v[pivot]
         if c:
             p = row[pivot]
-            v = _primitive([a * p - b * c for a, b in zip(v, row)])
+            v = primitive([a * p - b * c for a, b in zip(v, row)])
     pivot = next((i for i, a in enumerate(v) if a), None)
     if pivot is None:
         return False
     if v[pivot] < 0:
         v = [-a for a in v]
-    insort(basis, (pivot, _primitive(v)))
+    insort(basis, (pivot, primitive(v)))
     return True
 
 

@@ -136,13 +136,13 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
         raise ValueError(f"field on {v.n} variables cannot act on {f.n_vars}-variable polynomial")
 
     if v.is_diagonal:
-        weights = v.diagonal_entries()
+        weights = WeightVector(tuple(row[i] for i, row in enumerate(v.rows)))
         f_work = f
         basis = None
     else:
         psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))
         semi, nil = chevalley_split(v, psf)
-        if not nil.is_zero and apply_derivation(nil, f) is not None:
+        if apply_derivation(nil, f) is not None:
             raise DegenerationError(
                 "the nilpotent part of the field acts nontrivially on the polynomial"
             )

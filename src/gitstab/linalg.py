@@ -19,7 +19,8 @@ every value, and the order of pivots, is that of the dense loop.
 Matrices are represented as tuples of row tuples, vectors as tuples.  The
 module also carries the little univariate polynomial arithmetic needed for
 characteristic polynomials; coefficient sequences are ascending, so p[i] is
-the coefficient of x**i.
+the coefficient of x**i.  Integer vectors come from one pair of functions:
+`clear_denominators` (rationals to ints) and `primitive` (gcd removed).
 """
 
 from __future__ import annotations
@@ -272,8 +273,7 @@ def poly_eval_matrix(p, a):
     n = len(a)
     if not p:
         return zero_matrix(n)
-    cden = lcm(*(c.denominator for c in p))
-    *rest, lead = (c.numerator * (cden // c.denominator) for c in p)
+    (*rest, lead), cden = clear_denominators(p)
     den, _, times = _integer_scaled(a)
     m = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
     scale = 1
@@ -292,8 +292,15 @@ def poly_eval_matrix(p, a):
 def clear_denominators(values):
     """Scale a rational vector by the positive lcm of denominators; return ints."""
     values = [frac(x) for x in values]
-    mult = lcm(*(x.denominator for x in values)) if values else 1
-    return [int(x * mult) for x in values], mult
+    mult = lcm(*(x.denominator for x in values))
+    return [x.numerator * (mult // x.denominator) for x in values], mult
+
+
+def primitive(ints):
+    """An integer vector divided by the gcd of its entries, as a list; the
+    zero vector stays as it is."""
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
 
 
 def primitive_integer_vector(values):
@@ -302,10 +309,4 @@ def primitive_integer_vector(values):
     The zero vector maps to itself.  The scaling factor is always positive,
     so sign patterns survive.
     """
-    ints, _ = clear_denominators(values)
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return tuple(primitive(clear_denominators(values)[0]))

@@ -2,9 +2,11 @@
 
 A polynomial in variables z0..z{n-1} is stored as a map from exponent
 multi-indices (tuples of non-negative ints) to nonzero Fraction coefficients.
-Only homogeneous nonzero polynomials are representable; both constraints are
-enforced at construction time, which lets every downstream computation assume
-a single total degree.
+Only homogeneous nonzero polynomials are representable.  `HPoly` owns term
+validation, which lets every downstream computation assume a single total
+degree: it refuses negative or non-integral exponents and inhomogeneous
+terms, and drops zero coefficients, so code that builds a term map (the
+parser, `_mul_maps`) just accumulates and may leave cancelled terms at 0.
 
 The text format is deliberately small:
 
@@ -62,7 +64,10 @@ class HPoly:
         degree = None
         for mono, coeff in terms.items():
             if not (type(mono) is tuple and all(type(e) is int for e in mono)):
-                mono = tuple(int(e) for e in mono)
+                ints = tuple(int(e) for e in mono)
+                if ints != tuple(mono):
+                    raise ValueError(f"non-integral exponent in monomial {mono!r}")
+                mono = ints
             if len(mono) != n_vars:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {n_vars}")
             if any(e < 0 for e in mono):
@@ -102,16 +107,13 @@ def support(f: HPoly) -> set:
 
 
 def _mul_maps(a: Mapping, b: Mapping) -> dict:
-    """Convolution of two raw term maps (not necessarily homogeneous)."""
+    """Convolution of two raw term maps (not necessarily homogeneous); terms
+    that cancel stay as zero entries, which `HPoly` drops."""
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m, Fraction(0)) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + ca * cb
     return out
 
 
@@ -190,18 +192,14 @@ def parse_poly(text: str, n_vars: int) -> HPoly:
                 break
         key = tuple(mono)
         degrees.add(sum(key))
-        c = terms.get(key, Fraction(0)) + (-coeff if sign == "-" else coeff)
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
         sign = take("op", "+-")
         if sign is None and tokens[i][0] is not None:
             raise PolyParseError("expected '+' or '-' between terms", tokens[i][2])
 
     if len(degrees) > 1:
         raise PolyParseError(f"inhomogeneous polynomial: degrees {sorted(degrees)}", 0)
-    if not terms:
+    if not any(terms.values()):
         raise PolyParseError("polynomial cancels to zero", 0)
     return HPoly(n_vars, terms)
 

@@ -47,7 +47,7 @@ from . import boxscan, lp
 from .lazylog import LazyLogger
 from .poly import HPoly, support
 from .record import record
-from .weights import WeightVector, mu
+from .weights import WeightVector
 
 log = LazyLogger(__name__)
 
@@ -110,11 +110,11 @@ def _verdict(f: HPoly, fixing_dim: int, kind=None, witness=None) -> StabilityVer
     if kind is None:
         return StabilityVerdict(STABLE, None, 0, None)
     lam = WeightVector.from_values(witness).primitive_integer()
-    if lam.is_zero or lam.trace != 0 or not _WEIGHT_TESTS[kind]([lam.dot(g) for g in f.terms]):
+    weights = [lam.dot(g) for g in f.terms]
+    if lam.is_zero or lam.trace != 0 or not _WEIGHT_TESTS[kind](weights):
         raise RuntimeError(f"{kind} witness {lam} fails the witness check")
-    if kind == "fixing":
-        return StabilityVerdict(WEAKLY_STABLE_NOT_STABLE, lam, fixing_dim, Fraction(0))
-    return StabilityVerdict(NOT_WEAKLY_STABLE, lam, fixing_dim, mu(lam, f))
+    classification = WEAKLY_STABLE_NOT_STABLE if kind == "fixing" else NOT_WEAKLY_STABLE
+    return StabilityVerdict(classification, lam, fixing_dim, min(weights))
 
 
 def classify_torus(f: HPoly) -> StabilityVerdict:

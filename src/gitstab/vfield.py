@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 from . import linalg
-from .linalg import frac
 from .poly import HPoly, _mul_maps
 from .record import record
 from .weights import WeightVector
@@ -38,7 +37,8 @@ MAX_SUBSTITUTION_WORK = 200_000
 
 @record
 class LinearVectorField:
-    """v = sum a_ij z_j d/dz_i with rational a_ij, as an n x n matrix."""
+    """v = sum a_ij z_j d/dz_i with rational a_ij: the field is its n x n matrix
+    `rows`, checked square and made Fractions here; read it with `linalg`."""
 
     rows: tuple
 
@@ -50,14 +50,8 @@ class LinearVectorField:
 
     @classmethod
     def diagonal(cls, values) -> "LinearVectorField":
-        vals = [frac(x) for x in values]
-        n = len(vals)
-        return cls(
-            tuple(
-                tuple(vals[i] if i == j else Fraction(0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        n = len(values)
+        return cls(tuple(tuple(x if i == j else 0 for j in range(n)) for i, x in enumerate(values)))
 
     @property
     def n(self) -> int:
@@ -69,15 +63,6 @@ class LinearVectorField:
             not x for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return linalg.is_zero_matrix(self.rows)
-
-    def diagonal_entries(self) -> WeightVector:
-        if not self.is_diagonal:
-            raise ValueError("field is not diagonal")
-        return WeightVector(tuple(self.rows[i][i] for i in range(self.n)))
-
     def is_nilpotent(self) -> bool:
         b = self.rows
         for _ in range(self.n - 1):
@@ -85,11 +70,6 @@ class LinearVectorField:
                 return True
             b = linalg.mat_mul(b, self.rows)
         return linalg.is_zero_matrix(b)
-
-    def nonzero_entries(self):
-        return [
-            (i, j, x) for i, row in enumerate(self.rows) for j, x in enumerate(row) if x
-        ]
 
 
 def parse_matrix(text: str, n: int, what: str) -> tuple:
@@ -122,7 +102,7 @@ def apply_derivation(v: LinearVectorField, f: HPoly) -> HPoly | None:
     if v.n != f.n_vars:
         raise ValueError(f"field on {v.n} variables applied to {f.n_vars}-variable polynomial")
     out: dict = {}
-    entries = v.nonzero_entries()
+    entries = [(i, j, a) for i, row in enumerate(v.rows) for j, a in enumerate(row) if a]
     for mono, c in f.terms.items():
         for i, j, a in entries:
             gi = mono[i]
@@ -132,12 +112,8 @@ def apply_derivation(v: LinearVectorField, f: HPoly) -> HPoly | None:
             m[i] -= 1
             m[j] += 1
             key = tuple(m)
-            s = out.get(key, Fraction(0)) + c * a * gi
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    if not out:
+            out[key] = out.get(key, 0) + c * a * gi
+    if not any(out.values()):
         return None
     return HPoly(f.n_vars, out)
 
@@ -240,7 +216,7 @@ def _rational_roots(psf):
     if it does not split into linear factors over Q.
 
     Exact p-adic root finding (Loos 1983).  With coprime integer coefficients
-    c of degree k and leading coefficient a > 0, q(y) = a^(k-1) c(y/a) is
+    c of degree k and leading coefficient a, q(y) = a^(k-1) c(y/a) is
     monic with integer coefficients, so its rational roots are integers y
     bounded by the Cauchy bound 1 + max|q_i|.  For the first prime p modulo
     which q stays squarefree, q splits over Q only if it has k distinct roots
@@ -250,9 +226,7 @@ def _rational_roots(psf):
     discriminant fail; when the first prime fails, gcd(q, q') over Q is
     checked once and a polynomial that is not squarefree raises ValueError.
     """
-    c, _ = linalg.clear_denominators(psf)
-    g = gcd(*c) if c[-1] > 0 else -gcd(*c)
-    c = [x // g for x in c]
+    c = linalg.primitive(linalg.clear_denominators(psf)[0])
     k = len(c) - 1
     a = c[-1]
     q = [x * a ** (k - 1 - i) for i, x in enumerate(c[:-1])] + [1]
@@ -355,11 +329,7 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
             if e:
                 term = _mul_maps(term, powers[i][e])
         for m, v in term.items():
-            s = out.get(m, Fraction(0)) + v
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    if not out:
+            out[m] = out.get(m, 0) + v
+    if not any(out.values()):
         raise RuntimeError("invertible substitution cannot annihilate a nonzero polynomial")
     return HPoly(n, out)

@@ -148,5 +148,9 @@ def test_constructor_keeps_integer_tuple_keys():
     assert list(g.terms) == [(2, 1, 0)] and all(type(e) is int for e in next(iter(g.terms)))
     with pytest.raises(ValueError):
         HPoly(3, {(3, -1, 1): 1})
+    # non-integral exponents are refused, not truncated
+    for mono in [(1.5, 0.5), (Fraction(3, 2), Fraction(1, 2)), ("2", "1")]:
+        with pytest.raises(ValueError, match="non-integral exponent in monomial"):
+            HPoly(2, {mono: 1})
     with pytest.raises(ValueError):
         HPoly(3, {(2, 1): 1})
