@@ -1,18 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
 Everything here is exact and deterministic; there are no tolerances
-anywhere.  Most kernels work on Fraction entries.  Two are fraction-free:
-`charpoly` and `poly_eval_matrix` scale the matrix to integers once (D*A,
-with D the lcm of its denominators), run their recurrence on ints, and
-divide once per output entry at the end, so their outputs are still
-Fractions, the same reduced values the Fraction recurrence gives.
+anywhere.  The matrix kernels on the Chevalley and eigenbasis path are
+fraction-free.  `mat_mul`, `charpoly` and `poly_eval_matrix` scale each
+matrix to integers once (D*A, with D the lcm of its denominators), work on
+ints, and divide once per output entry at the end.  `rref` (and through it
+`nullspace` and `mat_inv`) eliminates on primitive integer rows and divides
+each pivot row by its pivot once at the end.  Their outputs are still
+Fractions, the same reduced values the Fraction arithmetic gives.
 Matrices are small (the ambient dimension is the number of coordinates,
 rarely above 8), so the quadratic and cubic algorithms below are perfectly
 adequate.
 
-Gauss-Jordan elimination (`rref`, and through it `nullspace` and `mat_inv`;
-the simplex in `lp` pivots with the same step) goes through `eliminate`,
-which touches only the pivot row's nonzero entries and only the rows with a
+`eliminate` is the Fraction Gauss-Jordan step of the simplex in `lp`: it
+touches only the pivot row's nonzero entries and only the rows with a
 nonzero entry in the pivot column.  Exact arithmetic makes that a pure saving:
 every value, and the order of pivots, is that of the dense loop.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def frac(x) -> Fraction:
@@ -71,8 +73,13 @@ def mat_shift(a, c):
 
 
 def mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+    """The product a*b, fraction-free: with Da and Db the lcms of the
+    denominators of a and b, the integer product (Da*a)(Db*b) becomes one
+    Fraction(x, Da*Db) per entry, the reduced value of the Fraction product."""
+    da, _, times = _integer_scaled(a)
+    db, ib, _ = _integer_scaled(b)
+    d = da * db
+    return tuple(tuple(Fraction(x, d) for x in row) for row in times(ib))
 
 
 def is_zero_matrix(a) -> bool:
@@ -87,8 +94,9 @@ def eliminate(rows, pr: int, c: int) -> None:
     is nonzero.  Only the pivot row's nonzero positions are touched: a zero
     entry stays as it is, and the rows with f = 0 are not visited at all, so
     the result is entry for entry the one of the dense step.  Rows are lists
-    that are updated in place; rows may be any list holding them (a tableau
-    plus its cost row, say).
+    that are updated in place; rows may be any list holding them.  The
+    simplex in `lp` is the one caller: it pivots on its tableau plus its
+    cost row.  `rref` eliminates on integer rows instead.
     """
     prow = rows[pr]
     pv = prow[c]
@@ -107,10 +115,23 @@ def eliminate(rows, pr: int, c: int) -> None:
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
-    This is the one place entries are coerced (through `frac`, so malformed
-    entries raise ValueError); each pivot is one `eliminate` step.
+    Fraction-free Gauss-Jordan.  Each row becomes a primitive integer row
+    (`clear_denominators`, whose `frac` makes this the one place entries are
+    coerced, so malformed entries raise ValueError).  A pivot p in row P
+    clears column c of every other row R by R <- primitive(p*R - R[c]*P).
+    Every integer row is a nonzero multiple of the row the Fraction
+    elimination holds at that step, so the pivots are chosen as there (the
+    first nonzero entry at or below the current row), and each pivot row is
+    divided by its pivot once at the end.  The reduced row echelon form is
+    unique, so these are the same Fractions.
+
+    >>> red, pivots = rref([(1, 2, 3), (2, 4, 6), (1, 0, "1/2")])
+    >>> pivots
+    [0, 1]
+    >>> [[str(x) for x in row] for row in red]
+    [['1', '0', '1/2'], ['0', '1', '5/4'], ['0', '0', '0']]
     """
-    m = [list(map(frac, r)) for r in rows]
+    m = [primitive(clear_denominators(r)[0]) for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -121,12 +142,19 @@ def rref(rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        eliminate(m, r, c)
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = primitive([p * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [tuple(row) for row in m], pivots
+    zero = Fraction(0)
+    red = [tuple(Fraction(x, row[c]) if x else zero for x in row) for row, c in zip(m, pivots)]
+    return red + [(zero,) * ncols] * (len(m) - r), pivots
 
 
 def nullspace(rows):
@@ -151,7 +179,7 @@ def nullspace(rows):
 
 def mat_inv(a):
     n = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -159,7 +187,7 @@ def mat_inv(a):
 
 
 def _integer_scaled(a):
-    """(D, B, times) for a rational square matrix a: D is the lcm of the
+    """(D, B, times) for a rational matrix a: D is the lcm of the
     denominators of a, B = D*a as integer row lists, and times(m) the
     integer product B*m of a row-list integer matrix m, as row lists."""
     den = lcm(*(x.denominator for r in a for x in r))
@@ -167,7 +195,7 @@ def _integer_scaled(a):
 
     def times(m):
         cols = tuple(zip(*m))
-        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in b]
+        return [[sum(map(mul, row, col)) for col in cols] for row in b]
 
     return den, b, times
 

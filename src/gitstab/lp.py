@@ -7,13 +7,14 @@ index rule makes the pivot sequence, and therefore the reported witness,
 deterministic; it also rules out cycling, so termination needs no tolerance
 or iteration cap.
 
-Pivots are `linalg.eliminate` steps on the tableau plus its cost row: only
-the pivot row's nonzero entries are touched, and only in rows with a nonzero
-entry in the entering column.  The cone programs of `stability` are sparse
-and fully degenerate (every right-hand side but the cap is 0, and the ratio
-test divides no zero), so this skips most of the Fraction arithmetic while
-every value, witness, pivot and `pivot_log` snapshot stays what the dense
-tableau gives.
+Pivots are `linalg.eliminate` steps on the tableau plus its cost row; the
+simplex is that step's one caller, as `linalg.rref` eliminates on integers.
+Only the pivot row's nonzero entries are touched, and only in rows with a
+nonzero entry in the entering column.  The cone programs of `stability` are
+sparse and fully degenerate (every right-hand side but the cap is 0, and the
+ratio test divides no zero), so this skips most of the Fraction arithmetic
+while every value, witness, pivot and `pivot_log` snapshot stays what the
+dense tableau gives.
 
 Every answer is re-verified by substitution before it is returned: optimal
 witnesses must satisfy all constraints exactly, unbounded rays must lie in

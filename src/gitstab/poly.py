@@ -64,8 +64,11 @@ class HPoly:
         degree = None
         for mono, coeff in terms.items():
             if not (type(mono) is tuple and all(type(e) is int for e in mono)):
-                ints = tuple(int(e) for e in mono)
-                if ints != tuple(mono):
+                try:
+                    ints = tuple(int(e) for e in mono)
+                except (TypeError, ValueError, OverflowError):
+                    ints = None
+                if ints is None or ints != tuple(mono):
                     raise ValueError(f"non-integral exponent in monomial {mono!r}")
                 mono = ints
             if len(mono) != n_vars:

@@ -133,6 +133,22 @@ def random_hpoly(
     return HPoly(n_vars, terms)
 
 
+def random_binomial_sum(rng: Random, n: int) -> HPoly:
+    """Binomials z^g + z^h with g + h = (2, ..., 2) in degree n, fewer than
+    n - 1 of them: (1, ..., 1) is the midpoint of every segment, so C = L."""
+    terms = {}
+    for _ in range(rng.randint(1, max(1, n - 2))):
+        g = [1] * n
+        for _ in range(rng.randint(1, n)):
+            i, j = rng.sample(range(n), 2)
+            if g[i] > 0 and g[j] < 2:
+                g[i] -= 1
+                g[j] += 1
+        terms[tuple(g)] = Fraction(rng.randint(1, 5))
+        terms[tuple(2 - x for x in g)] = Fraction(-rng.randint(1, 5))
+    return HPoly(n, terms)
+
+
 def random_weights(rng: Random, n_vars: int, bound: int = 6, den_bound: int = 1) -> WeightVector:
     return WeightVector.from_values(
         Fraction(rng.randint(-bound, bound), rng.randint(1, den_bound)) for _ in range(n_vars)
@@ -181,6 +197,38 @@ def fraction_horner(p, a):
             for i in range(n)
         )
     return acc
+
+
+def fraction_mat_mul(a, b):
+    """a*b with one Fraction sum per entry: the plain reference for
+    linalg.mat_mul, which multiplies the integer-scaled factors."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form by Fraction Gauss-Jordan, one
+    linalg.eliminate step per pivot: the plain reference for linalg.rref,
+    which eliminates on primitive integer rows."""
+    from gitstab.linalg import eliminate, frac
+
+    m = [list(map(frac, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        eliminate(m, r, c)
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(row) for row in m], pivots
 
 
 def naive_multiply(f: HPoly, g: HPoly) -> HPoly:

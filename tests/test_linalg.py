@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from gitstab import linalg
-from helpers import random_invertible, random_matrix
+from helpers import fraction_mat_mul, fraction_rref, random_invertible, random_matrix
 
 
 def test_rref_and_nullspace():
@@ -295,3 +295,81 @@ def test_elimination_coerces_through_frac_once():
         for call in (linalg.rref, linalg.nullspace, linalg.mat_inv):
             with pytest.raises(ValueError, match="cannot interpret"):
                 call([[1, bad], [0, 1]])
+
+
+# -- fraction-free kernels against their Fraction references ----------------
+
+_LARGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 10**9 + 7, 998244353)
+
+
+def _kernel_matrix(rng: Random, case: int):
+    """`_differential_matrix`, varied: int entries on every fifth case, an
+    inserted zero row on every seventh, and on every fourth each row and
+    each column scaled by 1/p for a large prime p, which keeps the rank and
+    puts the integer scale past 2**64."""
+    rows = _differential_matrix(rng, case)
+    if case % 5 == 0:
+        rows = [[Fraction(x).numerator for x in r] for r in rows]
+    if case % 7 == 0:
+        rows.insert(rng.randint(0, len(rows)), [0] * len(rows[0]))
+    if case % 4 == 1:
+        cols = [Fraction(1, rng.choice(_LARGE_PRIMES)) for _ in rows[0]]
+        scaled = []
+        for r in rows:
+            s = Fraction(rng.choice((1, -3)), rng.choice(_LARGE_PRIMES))
+            scaled.append([x * s * t for x, t in zip(r, cols)])
+        rows = scaled
+    return rows
+
+
+def test_fraction_free_kernels_match_fraction_references(monkeypatch):
+    rng = Random(1968)
+    seen = set()
+    for case in range(360):
+        rows = _kernel_matrix(rng, case)
+        n_rows, n_cols = len(rows), len(rows[0])
+        red, pivots = linalg.rref(rows)
+        assert (red, pivots) == fraction_rref(rows)
+        assert all(type(x) is Fraction for r in red for x in r)
+        den = (1,) if case % 5 == 0 else (1, 3, rng.choice(_LARGE_PRIMES))
+        width = rng.randint(1, 4)
+        other = [
+            [Fraction(rng.randint(-5, 5), rng.choice(den)) for _ in range(width)]
+            for _ in range(n_cols)
+        ]
+        product = linalg.mat_mul(rows, other)
+        assert product == fraction_mat_mul(rows, other)
+        assert all(type(x) is Fraction for r in product for x in r)
+        got_null = linalg.nullspace(rows)
+        got_inv = None
+        if n_rows == n_cols:
+            try:
+                got_inv = linalg.mat_inv(rows)
+            except ValueError as exc:
+                got_inv = str(exc)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", fraction_rref)
+            assert got_null == linalg.nullspace(rows)
+            if n_rows == n_cols:
+                try:
+                    want_inv = linalg.mat_inv(rows)
+                except ValueError as exc:
+                    want_inv = str(exc)
+                assert got_inv == want_inv
+        seen.add("wide" if n_cols > n_rows else "tall" if n_rows > n_cols else "square")
+        cases = {
+            "1x1": (n_rows, n_cols) == (1, 1),
+            "deficient": len(pivots) < min(n_rows, n_cols),
+            "zero row": any(not any(r) for r in rows),
+            "zero column": any(not any(r[c] for r in rows) for c in range(n_cols)),
+            "ints": all(type(x) is int for r in rows for x in r),
+            "singular": got_inv == "matrix is singular",
+            "past 2**64": lcm(*(Fraction(x).denominator for r in rows for x in r)) > 2**64,
+        }
+        seen.update(name for name, hit in cases.items() if hit)
+    assert seen == {"wide", "tall", "square", *cases}
+    for bad in (None, 0.5, "1/0", True):
+        rows = [[1, 2], [3, bad]]
+        for call in (linalg.rref, linalg.nullspace, linalg.mat_inv, fraction_rref):
+            with pytest.raises(ValueError, match="cannot interpret"):
+                call(rows)

@@ -1,5 +1,6 @@
 """Polynomial construction, parsing and printing."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -148,9 +149,14 @@ def test_constructor_keeps_integer_tuple_keys():
     assert list(g.terms) == [(2, 1, 0)] and all(type(e) is int for e in next(iter(g.terms)))
     with pytest.raises(ValueError):
         HPoly(3, {(3, -1, 1): 1})
-    # non-integral exponents are refused, not truncated
-    for mono in [(1.5, 0.5), (Fraction(3, 2), Fraction(1, 2)), ("2", "1")]:
-        with pytest.raises(ValueError, match="non-integral exponent in monomial"):
+    # non-integral exponents are refused, not truncated, and exponents that
+    # int() cannot read are refused the same way, naming the monomial
+    for mono in [
+        (1.5, 0.5), (Fraction(3, 2), Fraction(1, 2)), ("2", "1"),
+        (None, 1), ("a", 1), (float("inf"), 1),
+    ]:
+        message = f"non-integral exponent in monomial {mono!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             HPoly(2, {mono: 1})
     with pytest.raises(ValueError):
         HPoly(3, {(2, 1): 1})

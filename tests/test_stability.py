@@ -20,6 +20,7 @@ from gitstab.weights import WeightVector, mu
 from gitstab.vfield import substitute_linear
 from helpers import (
     hp,
+    random_binomial_sum,
     random_hpoly,
     random_invertible,
     random_monomial,
@@ -255,22 +256,6 @@ def _reference_cone_program(f):
     return lp.LinearProgram.maximize(total, cone + [(total, lp.LE, 1)])
 
 
-def _binomial_sum(rng, n):
-    """Binomials z^g + z^h with g + h = (2, ..., 2) in degree n, fewer than
-    n - 1 of them: (1, ..., 1) is the midpoint of every segment, so C = L."""
-    terms = {}
-    for _ in range(rng.randint(1, max(1, n - 2))):
-        g = [1] * n
-        for _ in range(rng.randint(1, n)):
-            i, j = rng.sample(range(n), 2)
-            if g[i] > 0 and g[j] < 2:
-                g[i] -= 1
-                g[j] += 1
-        terms[tuple(g)] = Fraction(rng.randint(1, 5))
-        terms[tuple(2 - x for x in g)] = Fraction(-rng.randint(1, 5))
-    return HPoly(n, terms)
-
-
 def _nonnegative_form(rng, n):
     """Monomials of weight >= 0 under a random trace-zero vector: never
     stable, and often semi (some weight 0, no strict witness)."""
@@ -293,7 +278,7 @@ def _agreement_forms():
     for _ in range(90):
         yield "nonnegative", _nonnegative_form(rng, rng.randint(2, 8))
     for _ in range(70):
-        yield "binomial", _binomial_sum(rng, rng.randint(2, 7))
+        yield "binomial", random_binomial_sum(rng, rng.randint(2, 7))
     for _ in range(60):
         n = rng.randint(2, 4)
         f = random_hpoly(rng, n, rng.randint(2, 3), 4)

@@ -7,6 +7,7 @@ import pytest
 
 from gitstab import linalg
 from gitstab.poly import parse_poly
+from gitstab.stability import WEAKLY_STABLE_NOT_STABLE, classify_torus
 from gitstab.vfield import (
     LinearVectorField,
     _rational_roots,
@@ -20,9 +21,12 @@ from gitstab.vfield import (
 )
 from helpers import (
     fraction_horner,
+    fraction_mat_mul,
+    fraction_rref,
     hp,
     naive_derivation,
     naive_multiply,
+    random_binomial_sum,
     random_hpoly,
     random_invertible,
     random_matrix,
@@ -300,9 +304,17 @@ def _split_and_degeneration(f, v):
     return split, report
 
 
+def _fraction_pipeline(patch):
+    """Swap every fraction-free matrix kernel for its plain Fraction reference."""
+    patch.setattr(linalg, "poly_eval_matrix", fraction_horner)
+    patch.setattr(linalg, "mat_mul", fraction_mat_mul)
+    patch.setattr(linalg, "rref", fraction_rref)
+
+
 def test_fraction_free_evaluation_leaves_split_and_degeneration_unchanged(monkeypatch):
-    # The Chevalley split and every degeneration report are exactly those of
-    # a plain Fraction Horner evaluation, on conjugated fields of each kind.
+    # The Chevalley split, the rational diagonalization and every
+    # degeneration report are exactly those of an all-Fraction pipeline
+    # (Horner, products and Gauss-Jordan), on conjugated fields of each kind.
     rng = Random(1968)
     kinds = ("rational", "nilpotent", "irrational")
     for i in range(150):
@@ -310,9 +322,25 @@ def test_fraction_free_evaluation_leaves_split_and_degeneration_unchanged(monkey
         v = _conjugated_field(rng, kind, n)
         f = random_hpoly(rng, n, 3, 5)
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "poly_eval_matrix", fraction_horner)
+            _fraction_pipeline(patch)
             expected = _split_and_degeneration(f, v)
         assert _split_and_degeneration(f, v) == expected
+
+
+def test_fraction_free_kernels_leave_fixing_witnesses_unchanged(monkeypatch):
+    # lp.kernel is linalg.nullspace, which gives classify_torus its fixing
+    # dimension and, for weakly stable forms, its witness.
+    rng = Random(1969)
+    weakly = 0
+    for _ in range(60):
+        f = random_binomial_sum(rng, rng.randint(2, 8))
+        with monkeypatch.context() as patch:
+            _fraction_pipeline(patch)
+            expected = classify_torus(f)
+        got = classify_torus(f)
+        assert got == expected  # fixing dimension and witness included
+        weakly += got.classification == WEAKLY_STABLE_NOT_STABLE and got.fixing_subspace_dim > 0
+    assert weakly >= 40
 
 
 def test_rational_diagonalize_random_conjugates():
