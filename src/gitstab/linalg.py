@@ -22,6 +22,11 @@ module also carries the little univariate polynomial arithmetic needed for
 characteristic polynomials; coefficient sequences are ascending, so p[i] is
 the coefficient of x**i.  Integer vectors come from one pair of functions:
 `clear_denominators` (rationals to ints) and `primitive` (gcd removed).
+
+Star-arguments and the rows `rref` returns are built from lists, not
+generators.  CPython builds a tuple from a generator at a guessed size and
+shrinks it, and its per-size tuple free lists then keep each block; on the
+degeneration path that held about 0.4 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -153,7 +158,7 @@ def rref(rows):
         if r == len(m):
             break
     zero = Fraction(0)
-    red = [tuple(Fraction(x, row[c]) if x else zero for x in row) for row, c in zip(m, pivots)]
+    red = [tuple([Fraction(x, row[c]) if x else zero for x in row]) for row, c in zip(m, pivots)]
     return red + [(zero,) * ncols] * (len(m) - r), pivots
 
 
@@ -190,7 +195,7 @@ def _integer_scaled(a):
     """(D, B, times) for a rational matrix a: D is the lcm of the
     denominators of a, B = D*a as integer row lists, and times(m) the
     integer product B*m of a row-list integer matrix m, as row lists."""
-    den = lcm(*(x.denominator for r in a for x in r))
+    den = lcm(*[x.denominator for r in a for x in r])
     b = [[x.numerator * (den // x.denominator) for x in r] for r in a]
 
     def times(m):
@@ -320,7 +325,7 @@ def poly_eval_matrix(p, a):
 def clear_denominators(values):
     """Scale a rational vector by the positive lcm of denominators; return ints."""
     values = [frac(x) for x in values]
-    mult = lcm(*(x.denominator for x in values))
+    mult = lcm(*[x.denominator for x in values])
     return [x.numerator * (mult // x.denominator) for x in values], mult
 
 
