@@ -103,9 +103,8 @@ def cmd_parse(args) -> int:
 def cmd_mu(args) -> int:
     f = _load_poly(args)
     lam = WeightVector.parse(args.weights)
-    value = mu(lam, f)
     spec = sorted(weight_spectrum(lam, f).items())
-    limit = limit_poly(lam, f)
+    value, limit = spec[0]  # the minimum weight and its stratum
     payload = {
         "mu": str(value),
         "spectrum": {str(w): print_poly(p) for w, p in spec},

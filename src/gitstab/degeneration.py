@@ -140,31 +140,21 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
         f_work = f
         basis = None
     else:
-        psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))
-        semi, nil = chevalley_split(v, psf)
-        if apply_derivation(nil, f) is not None:
-            raise DegenerationError(
-                "the nilpotent part of the field acts nontrivially on the polynomial"
-            )
-        diag = rational_diagonalize(semi, psf)
-        if diag is None:
-            raise DegenerationError(
-                "the semisimple part has irrational eigenvalues; "
-                "its limit is not reachable in rational coordinates"
-            )
-        eigvals, basis = diag
-        f_work = substitute_linear(f, basis)
-        weights = eigvals
+        found = _eigenbasis(f, v)
+        if isinstance(found, str):
+            raise DegenerationError(found)
+        weights, f_work, basis = found
         log.debug("rewrote polynomial in an eigenbasis; weights %s", weights)
 
-    floor = mu(weights, f_work)
+    # One weight pass: the floor-normalized generator shifts every weight by
+    # the floor, so its strata are these with exponents (w - floor) * M.
+    spectrum = weight_spectrum(weights, f_work)
+    floor = min(spectrum)
     lam_tilde = weights.shifted(-Fraction(floor, f.degree))
-
-    spectrum = weight_spectrum(lam_tilde, f_work)
-    rescale = lcm(*(w.denominator for w in spectrum))
+    rescale = lcm(*[(w - floor).denominator for w in spectrum])
     strata = {}
     for w, part in spectrum.items():
-        e = w * rescale
+        e = (w - floor) * rescale
         if e.denominator != 1 or e < 0:
             raise RuntimeError("cleared exponents must be non-negative integers")
         strata[int(e)] = part
@@ -175,6 +165,25 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
     if family.fiber(1) != f_work:
         raise RuntimeError("the family must pass through the polynomial at s=1")
     return DegenerationReport(family, basis)
+
+
+def _eigenbasis(f: HPoly, v: LinearVectorField):
+    """(eigenvalues, f in the eigenbasis, the basis) for a non-diagonal v, or
+    the reason there is none as a message.  The caller raises it, so the
+    traceback a kept DegenerationError carries ends in build_degeneration and
+    does not hold this frame's Chevalley split."""
+    psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))
+    semi, nil = chevalley_split(v, psf)
+    if apply_derivation(nil, f) is not None:
+        return "the nilpotent part of the field acts nontrivially on the polynomial"
+    diag = rational_diagonalize(semi, psf)
+    if diag is None:
+        return (
+            "the semisimple part has irrational eigenvalues; "
+            "its limit is not reachable in rational coordinates"
+        )
+    eigvals, basis = diag
+    return eigvals, substitute_linear(f, basis), basis
 
 
 def from_destabilizer(f: HPoly, lmbda: WeightVector) -> DegenerationReport:

@@ -20,7 +20,10 @@ every value, and the order of pivots, is that of the dense loop.
 Matrices are represented as tuples of row tuples, vectors as tuples.  The
 module also carries the little univariate polynomial arithmetic needed for
 characteristic polynomials; coefficient sequences are ascending, so p[i] is
-the coefficient of x**i.  Integer vectors come from one pair of functions:
+the coefficient of x**i.  Its squarefree part runs on integers too: the gcd
+with the derivative by a primitive remainder sequence, one exact integer
+division, and one Fraction per coefficient to make the quotient monic.
+Integer vectors come from one pair of functions:
 `clear_denominators` (rationals to ints) and `primitive` (gcd removed).
 
 Star-arguments and the rows `rref` returns are built from lists, not
@@ -245,51 +248,51 @@ def poly_derivative(p):
     return poly_trim(tuple(i * c for i, c in enumerate(p) if i))
 
 
-def poly_monic(p):
-    p = poly_trim(p)
-    if not p:
-        raise ValueError("zero polynomial has no monic form")
-    lead = p[-1]
-    return tuple(c / lead for c in p)
+def poly_primitive_gcd(a, b):
+    """gcd of two integer polynomials by the primitive remainder sequence
+    (Collins 1967): each pseudo-remainder is made primitive, so the
+    coefficients stay integers.  Returns a primitive polynomial as a list,
+    determined up to sign, and [] when a and b are both zero.
 
-
-def poly_divmod(a, b):
-    a = list(poly_trim(a))
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b):
-        f = a[-1] / lead
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        while a and not a[-1]:
-            a.pop()
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
+    >>> poly_primitive_gcd([2, -3, 0, 1], [-3, 0, 3])  # (x-1)^2 (x+2), 3(x^2-1)
+    [1, -1]
+    """
+    a, b = primitive(poly_trim(a)), primitive(poly_trim(b))
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_monic(a)
+        while len(a) >= len(b):
+            g = gcd(a[-1], b[-1])
+            x, y, s = b[-1] // g, a[-1] // g, len(a) - len(b)
+            a = [x * c for c in a]
+            for i, c in enumerate(b, s):
+                a[i] -= y * c
+            a = list(poly_trim(a))
+        a, b = b, primitive(a)
+    return a
 
 
 def poly_squarefree_part(p):
-    """p / gcd(p, p'), monic: the product of distinct irreducible factors."""
-    p = poly_trim(p)
-    g = poly_gcd(p, poly_derivative(p))
-    if not g:
+    """p / gcd(p, p'), monic: the product of distinct irreducible factors.
+
+    On integers: with c the primitive integer multiple of p and g =
+    gcd(c, c') from `poly_primitive_gcd`, the quotient c / g has integer
+    coefficients (Gauss's lemma) and is divided out exactly, then made
+    monic by one Fraction per coefficient.
+
+    >>> [str(x) for x in poly_squarefree_part((2, -3, 0, 1))]  # (x-1)^2 (x+2)
+    ['-2', '1', '1']
+    """
+    c = primitive(clear_denominators(poly_trim(p))[0])
+    if not c:
         raise ValueError("zero polynomial")
-    q, r = poly_divmod(p, g)
-    if r:
+    g = poly_primitive_gcd(c, poly_derivative(c))
+    q = [0] * (len(c) - len(g) + 1)
+    for k in reversed(range(len(q))):  # an inexact step leaves c[k + len(g) - 1] nonzero
+        q[k] = c[k + len(g) - 1] // g[-1]
+        for i, x in enumerate(g, k):
+            c[i] -= q[k] * x
+    if any(c):
         raise RuntimeError("gcd failed to divide exactly")
-    return poly_monic(q)
+    return tuple([Fraction(x, q[-1]) for x in q])
 
 
 def poly_eval_matrix(p, a):

@@ -7,6 +7,8 @@ validation, which lets every downstream computation assume a single total
 degree: it refuses negative or non-integral exponents and inhomogeneous
 terms, and drops zero coefficients, so code that builds a term map (the
 parser, `_mul_maps`) just accumulates and may leave cancelled terms at 0.
+The parser and `vfield.substitute_linear` key their terms by shared
+monomial tuples (`shared_monomial`), so equal monomials are one object.
 
 The text format is deliberately small:
 
@@ -35,6 +37,21 @@ from fractions import Fraction
 from .linalg import frac
 
 Monomial = tuple  # tuple[int, ...]
+
+# One shared tuple per monomial for the term maps built here and by
+# `vfield.substitute_linear`: parsed forms and forms rewritten in another
+# basis (and their strata and limits, which reuse the keys) hold one copy of
+# each monomial however many of them are kept.  The table stops taking new
+# monomials at _SHARED_MAX entries.
+_SHARED: dict = {}
+_SHARED_MAX = 1 << 12
+
+
+def shared_monomial(mono: Monomial) -> Monomial:
+    """The table's tuple equal to mono; mono is entered while there is room."""
+    if len(_SHARED) < _SHARED_MAX:
+        return _SHARED.setdefault(mono, mono)
+    return _SHARED.get(mono, mono)
 
 
 class PolyParseError(ValueError):
@@ -193,7 +210,7 @@ def parse_poly(text: str, n_vars: int) -> HPoly:
             mono[idx] += positive("^", "expected an integer exponent after '^'", "exponent")
             if take("op", "*") is None:
                 break
-        key = tuple(mono)
+        key = shared_monomial(tuple(mono))
         degrees.add(sum(key))
         terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
         sign = take("op", "+-")

@@ -7,10 +7,11 @@ with eigenvalue <lambda, gamma>; the rest of the module is about reducing a
 general field to that case: the additive semisimple/nilpotent splitting over
 the rationals, exact diagonalization when the eigenvalues are rational
 (decided by integer p-adic root finding, with no external algebra system), and
-linear changes of coordinates on polynomials.  The splitting and the
-diagonalization take the squarefree characteristic factor from their caller,
-which computes it once per field.  `parse_matrix` is the one reader of n x n
-JSON matrices (a field, a basis); every malformed one is a ValueError.
+linear changes of coordinates on polynomials, expanded on integers with one
+Fraction per output term.  The splitting and the diagonalization take the
+squarefree characteristic factor from their caller, which computes it once
+per field.  `parse_matrix` is the one reader of n x n JSON matrices (a field,
+a basis); every malformed one is a ValueError.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ from itertools import accumulate
 from math import comb, isqrt
 
 from . import linalg
-from .poly import HPoly, _mul_maps
+from .poly import HPoly, _mul_maps, shared_monomial
 from .record import record
 from .weights import WeightVector
 
-# Newton iteration doubles the nilpotency order it has corrected for, so
-# dimension n needs about ceil(log2 n) steps: 8 at the CLI's limit of 256
-# variables, far below this cap.
-_NEWTON_CAP = 24
-
 # Refuse substitutions whose expansion takes more coefficient products than
-# this; each costs a few microseconds of Fraction arithmetic.
+# this.  The products are of integers (the basis and f scaled to integer
+# coefficients), so the limit bounds integer work, not Fraction work.
 MAX_SUBSTITUTION_WORK = 200_000
 
 
@@ -150,11 +147,16 @@ def chevalley_split(v: LinearVectorField, psf: tuple) -> tuple:
     so convergence is detected by p*(x) vanishing identically; when p*(v) = 0
     already, v is semisimple and the nilpotent part is zero.  s and v have
     the same characteristic polynomial, so p* is also that of s.
+
+    Each step doubles the nilpotency order corrected for, so a Jordan block
+    of size k <= n needs ceil(log2 k) steps and one more to see p*(x) = 0.
+    The loop stops at ceil(log2 n) + 2 steps with a RuntimeError, so a wrong
+    kernel fails fast instead of iterating on ever larger rationals.
     """
     a = v.rows
     dpsf = linalg.poly_derivative(psf)
     s = a
-    for _ in range(_NEWTON_CAP):
+    for _ in range((v.n - 1).bit_length() + 2):
         e = linalg.poly_eval_matrix(psf, s)
         if linalg.is_zero_matrix(e):
             break
@@ -234,8 +236,7 @@ def _rational_roots(psf):
     primes = _primes()
     p = next(primes)
     if not _squarefree_mod(q, p):
-        qf = [Fraction(x) for x in q]
-        if len(linalg.poly_gcd(qf, linalg.poly_derivative(qf))) > 1:
+        if len(linalg.poly_primitive_gcd(q, dq)) > 1:
             raise ValueError("polynomial is not squarefree")
         p = next(p for p in primes if _squarefree_mod(q, p))
     residues = [r for r in range(p) if not _horner(q, r, p)]
@@ -287,7 +288,13 @@ def rational_diagonalize(v: LinearVectorField, psf: tuple):
 
 
 def substitute_linear(f: HPoly, basis) -> HPoly:
-    """Pull f back along the invertible substitution z_i -> sum_j P[i][j] z_j."""
+    """Pull f back along the invertible substitution z_i -> sum_j P[i][j] z_j.
+
+    The expansion runs on integers: with D the lcm of the denominators of P
+    and C that of f's coefficients, C*f is expanded along the integer
+    substitution D*P, which gives C*D^d times the result (f has degree d), so
+    each output term is one Fraction(x, C*D^d), its reduced coefficient.
+    """
     p = linalg.mat(basis)
     n = f.n_vars
     rows, cols = len(p), len(p[0]) if p else 0  # `mat` refuses ragged rows
@@ -307,23 +314,19 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
             f"above the {MAX_SUBSTITUTION_WORK} limit"
         )
     linalg.mat_inv(p)  # raises ValueError when singular
+    ints, den = linalg.clear_denominators([x for row in p for x in row])
+    coeffs, scale = linalg.clear_denominators(f.terms.values())
     zero_mono = tuple([0] * n)
-    forms = []
-    for i in range(n):
-        row = {
-            tuple(int(k == j) for k in range(n)): p[i][j]
-            for j in range(n)
-            if p[i][j]
-        }
-        forms.append(row)
+    units = [tuple([int(k == j) for k in range(n)]) for j in range(n)]
     powers = []
     for i in range(n):
-        pw = [{zero_mono: Fraction(1)}]
+        form = {units[j]: x for j, x in enumerate(ints[i * n : (i + 1) * n]) if x}
+        pw = [{zero_mono: 1}]
         for _ in range(max_exp[i]):
-            pw.append(_mul_maps(pw[-1], forms[i]))
+            pw.append(_mul_maps(pw[-1], form))
         powers.append(pw)
     out: dict = {}
-    for mono, c in f.terms.items():
+    for mono, c in zip(f.terms, coeffs):
         term = {zero_mono: c}
         for i, e in enumerate(mono):
             if e:
@@ -332,4 +335,5 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
             out[m] = out.get(m, 0) + v
     if not any(out.values()):
         raise RuntimeError("invertible substitution cannot annihilate a nonzero polynomial")
-    return HPoly(n, out)
+    scale *= den**f.degree
+    return HPoly(n, {shared_monomial(m): Fraction(x, scale) for m, x in out.items()})

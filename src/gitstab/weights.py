@@ -5,12 +5,15 @@ zi, so the monomial z^gamma picks up weight <lambda, gamma>.  The three core
 quantities are the minimum weight mu over the support, the partition of a
 polynomial into constant-weight strata (a plain {weight: stratum} dict), and
 the minimum-weight stratum (the limit of the polynomial under the associated
-one-parameter degeneration).
+one-parameter degeneration).  `weight_spectrum` computes the weights as
+integer dots with the lcm-scaled weights and makes one Fraction per distinct
+weight; `limit_poly` is its minimum stratum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .linalg import frac
@@ -104,16 +107,21 @@ def mu(lmbda: WeightVector, f: HPoly) -> Fraction:
 
 def weight_spectrum(lmbda: WeightVector, f: HPoly) -> dict:
     """Group the terms of f by weight: {weight: stratum}, the strata summing
-    back to f."""
+    back to f, in the order their weights first occur among f's terms.
+
+    With D the lcm of the denominators of lambda, each term's weight is the
+    integer dot <D*lambda, gamma>; each distinct one becomes one Fraction,
+    divided by D.
+    """
     _check_dims(lmbda, f)
+    ints, den = linalg.clear_denominators(lmbda.values)
     buckets: dict = {}
     for mono, c in f.terms.items():
-        buckets.setdefault(lmbda.dot(mono), {})[mono] = c
-    return {w: HPoly(f.n_vars, t) for w, t in buckets.items()}
+        buckets.setdefault(sum(map(mul, ints, mono)), {})[mono] = c
+    return {Fraction(w, den): HPoly(f.n_vars, t) for w, t in buckets.items()}
 
 
 def limit_poly(lmbda: WeightVector, f: HPoly) -> HPoly:
     """The minimum-weight stratum: the limit of f under the action of lambda."""
-    _check_dims(lmbda, f)
-    m = mu(lmbda, f)
-    return HPoly(f.n_vars, {g: c for g, c in f.terms.items() if lmbda.dot(g) == m})
+    spectrum = weight_spectrum(lmbda, f)
+    return spectrum[min(spectrum)]

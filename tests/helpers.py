@@ -263,3 +263,60 @@ def naive_derivation(matrix, f: HPoly):
                 key = tuple(key)
                 out[key] = out.get(key, Fraction(0)) + c * mono[i] * a
     return {m: c for m, c in out.items() if c}
+
+
+def fraction_substitute_linear(f: HPoly, basis) -> HPoly:
+    """f(P z) expanded with Fraction coefficients, one linear form at a time:
+    the plain reference for vfield.substitute_linear, which expands the
+    integer-scaled f and P."""
+    from gitstab.linalg import mat
+    from gitstab.poly import _mul_maps
+
+    n = f.n_vars
+    zero = (0,) * n
+    forms = [
+        {tuple(int(k == j) for k in range(n)): x for j, x in enumerate(row) if x}
+        for row in mat(basis)
+    ]
+    out = {}
+    for mono, c in f.terms.items():
+        term = {zero: c}
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = _mul_maps(term, forms[i])
+        for m, v in term.items():
+            out[m] = out.get(m, 0) + v
+    return HPoly(n, out)
+
+
+def fraction_squarefree_part(p):
+    """p / gcd(p, p'), monic, by Euclid's algorithm and long division over
+    Fractions: the plain reference for linalg.poly_squarefree_part, which
+    takes the gcd by an integer primitive remainder sequence."""
+
+    def trim(a):
+        a = list(a)
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    def divmod_poly(a, b):
+        a, q = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+        while len(a) >= len(b):
+            k = len(a) - len(b)
+            q[k] = a[-1] / b[-1]
+            for i, c in enumerate(b):
+                a[k + i] -= q[k] * c
+            a = trim(a)
+        return q, a
+
+    p = trim(Fraction(c) for c in p)
+    if not p:
+        raise ValueError("zero polynomial")
+    a, b = p, trim(i * c for i, c in enumerate(p) if i)
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    q, r = divmod_poly(p, a)
+    if r:
+        raise RuntimeError("gcd failed to divide exactly")
+    return tuple(c / q[-1] for c in q)

@@ -7,7 +7,13 @@ from random import Random
 import pytest
 
 from gitstab import linalg
-from helpers import fraction_mat_mul, fraction_rref, random_invertible, random_matrix
+from helpers import (
+    fraction_mat_mul,
+    fraction_rref,
+    fraction_squarefree_part,
+    random_invertible,
+    random_matrix,
+)
 
 
 def test_rref_and_nullspace():
@@ -108,12 +114,16 @@ def test_poly_eval_matrix_matches_the_definition():
     assert max(x.denominator for r in got for x in r) > 2**64
 
 
-def test_poly_division_and_gcd():
-    # (x-1)^2 (x+2) and (x-1)(x-3)
-    p = linalg.poly_trim((Fraction(2), Fraction(-3), Fraction(0), Fraction(1)))
-    q, r = linalg.poly_divmod(p, (Fraction(-1), Fraction(1)))
-    assert r == ()
-    assert linalg.poly_gcd(p, (Fraction(-1), Fraction(1))) == (Fraction(-1), Fraction(1))
+def test_poly_primitive_gcd():
+    # (x-1)^2 (x+2) and (x-1)(x-3): the gcd x - 1, up to sign
+    g = linalg.poly_primitive_gcd([2, -3, 0, 1], [3, -4, 1])
+    assert g in ([-1, 1], [1, -1])
+    # contents are removed: 6(x+1)^2 and 4(x+1)(x-2) share x + 1
+    assert linalg.poly_primitive_gcd([6, 12, 6], [-8, -4, 4]) in ([1, 1], [-1, -1])
+    # coprime, against zero, both zero, trailing zeros trimmed
+    assert linalg.poly_primitive_gcd([1, 0, 1], [-1, 1]) in ([1], [-1])
+    assert linalg.poly_primitive_gcd([0, 4, 2, 0], []) == [0, 2, 1]
+    assert linalg.poly_primitive_gcd([], [0]) == []
 
 
 def test_squarefree_part():
@@ -122,6 +132,60 @@ def test_squarefree_part():
     sf = linalg.poly_squarefree_part(p)
     # (x-1)(x+1) = x^2 - 1
     assert sf == (Fraction(-1), Fraction(0), Fraction(1))
+
+
+def _squarefree_case(rng: Random, case: int):
+    """(p, its squarefree part, {factor: multiplicity}): p has degree
+    1 + case % 8 and is a rational constant times linear factors x - r and
+    irreducible quadratics x^2 - c, each drawn with multiplicity 1-4 (a
+    factor drawn twice adds up); denominators reach 2**89 - 1."""
+    degree = 1 + case % 8
+    den = (1,) if case % 3 == 0 else (1, 7, rng.choice(_LARGE_PRIMES))
+    factors = {}
+    total = 0
+    while total < degree:
+        mult = rng.randint(1, min(4, degree - total))
+        if degree - total >= 2 * mult and rng.random() < 0.3:
+            factor = (Fraction(-rng.choice((2, 3, 5, -1, -7))), Fraction(0), Fraction(1))
+            total += 2 * mult
+        else:
+            factor = (-Fraction(rng.randint(-9, 9), rng.choice(den)), Fraction(1))
+            total += mult
+        factors[factor] = factors.get(factor, 0) + mult
+    p = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(den))]
+    part = [Fraction(1)]
+    for factor, mult in factors.items():
+        part = _poly_mul(part, factor)
+        for _ in range(mult):
+            p = _poly_mul(p, factor)
+    return tuple(p), tuple(part), factors
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_squarefree_part_matches_fraction_reference():
+    rng = Random(1967)
+    seen = set()
+    for case in range(320):
+        p, part, factors = _squarefree_case(rng, case)
+        got = linalg.poly_squarefree_part(p)
+        assert got == fraction_squarefree_part(p) == part
+        assert all(type(x) is Fraction for x in got)
+        seen.update((f"degree {len(p) - 1}", f"multiplicity {max(factors.values())}"))
+        if any(len(factor) == 3 for factor in factors):
+            seen.add("quadratic factor")
+        if lcm(*(x.denominator for x in p)) > 2**64:
+            seen.add("past 2**64")
+    want = {f"degree {d}" for d in range(1, 9)} | {f"multiplicity {m}" for m in range(1, 5)}
+    assert seen >= want | {"past 2**64", "quadratic factor"}
+    with pytest.raises(ValueError, match="zero polynomial"):
+        linalg.poly_squarefree_part((Fraction(0),))
 
 
 def test_primitive_integer_vector():

@@ -160,3 +160,24 @@ def test_constructor_keeps_integer_tuple_keys():
             HPoly(2, {mono: 1})
     with pytest.raises(ValueError):
         HPoly(3, {(2, 1): 1})
+
+
+def test_parsed_and_substituted_forms_share_monomial_keys(monkeypatch):
+    from gitstab import poly
+    from gitstab.vfield import substitute_linear
+
+    def key(f, mono):
+        return next(m for m in f.terms if m == mono)
+
+    f = parse_poly("z0^2*z1 + z2^3", 3)
+    g = parse_poly("2*z2^3 - z0*z1^2", 3)
+    assert key(g, (0, 0, 3)) is key(f, (0, 0, 3))
+    swapped = substitute_linear(f, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    assert swapped == parse_poly("z0*z1^2 + z2^3", 3)
+    assert key(swapped, (0, 0, 3)) is key(f, (0, 0, 3))
+    assert key(swapped, (1, 2, 0)) is key(g, (1, 2, 0))
+    # a full table enters no new monomial and still shares the ones it has
+    monkeypatch.setattr(poly, "_SHARED_MAX", len(poly._SHARED))
+    fresh = (5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert poly.shared_monomial(fresh) is fresh and fresh not in poly._SHARED
+    assert poly.shared_monomial((0, 0, 3)) is key(f, (0, 0, 3))

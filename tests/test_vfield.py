@@ -1,12 +1,13 @@
 """Linear vector fields: derivation action, splitting, diagonalization."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 
 from gitstab import linalg
-from gitstab.poly import parse_poly
+from gitstab.poly import HPoly, parse_poly
 from gitstab.stability import WEAKLY_STABLE_NOT_STABLE, classify_torus
 from gitstab.vfield import (
     LinearVectorField,
@@ -23,6 +24,8 @@ from helpers import (
     fraction_horner,
     fraction_mat_mul,
     fraction_rref,
+    fraction_squarefree_part,
+    fraction_substitute_linear,
     hp,
     naive_derivation,
     naive_multiply,
@@ -185,6 +188,52 @@ def test_chevalley_postconditions_and_uniqueness():
         assert s.rows == _sympy_semisimple_part(m)
 
 
+def test_chevalley_splits_three_jordan_blocks_of_size_eight():
+    # n = 24: each block needs ceil(log2 8) = 3 Newton steps and one more to
+    # see p*(s) = 0, inside the cap of ceil(log2 24) + 2 = 7 steps.
+    k, n = 8, 24
+    eigs = (Fraction(1), Fraction(-2), Fraction(1, 2))
+    semi = [[Fraction(0)] * n for _ in range(n)]
+    nil = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        semi[i][i] = eigs[i // k]
+        if i % k:
+            nil[i - 1][i] = Fraction(1)
+    rng = Random(24)
+    p = tuple(
+        tuple(Fraction(int(i == j) or (j > i) * rng.randint(-1, 1)) for j in range(n))
+        for i in range(n)
+    )
+    pinv = linalg.mat_inv(p)
+
+    def conj(m):
+        return linalg.mat_mul(pinv, linalg.mat_mul(tuple(map(tuple, m)), p))
+
+    v = LinearVectorField(conj([[x + y for x, y in zip(a, b)] for a, b in zip(semi, nil)]))
+    s, n_part = chevalley_split(v, _psf(v))
+    assert s.rows == conj(semi)
+    assert n_part.rows == conj(nil)
+
+
+def test_wrong_inverse_ends_newton_in_runtime_error():
+    # With the transposed inverse the iteration never reaches p*(s) = 0 and
+    # its entries grow at every step; the cap from n stops it at once.
+    code = (
+        "from gitstab import linalg, vfield\n"
+        "v = vfield.LinearVectorField([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]])\n"
+        "psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))\n"
+        "inverse = linalg.mat_inv\n"
+        "linalg.mat_inv = lambda a: tuple(zip(*inverse(a)))\n"
+        "try:\n"
+        "    vfield.chevalley_split(v, psf)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = run_python("-c", code, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "Newton iteration for the semisimple part did not converge\n"
+
+
 def test_chevalley_golden_jordan():
     v = LinearVectorField([[3, 1, 0], [0, 3, 0], [0, 0, 2]])
     s, n = chevalley_split(v, _psf(v))
@@ -305,16 +354,22 @@ def _split_and_degeneration(f, v):
 
 
 def _fraction_pipeline(patch):
-    """Swap every fraction-free matrix kernel for its plain Fraction reference."""
+    """Swap every integer kernel of the degeneration path for its plain
+    Fraction reference."""
+    from gitstab import degeneration
+
     patch.setattr(linalg, "poly_eval_matrix", fraction_horner)
     patch.setattr(linalg, "mat_mul", fraction_mat_mul)
     patch.setattr(linalg, "rref", fraction_rref)
+    patch.setattr(linalg, "poly_squarefree_part", fraction_squarefree_part)
+    patch.setattr(degeneration, "substitute_linear", fraction_substitute_linear)
 
 
 def test_fraction_free_evaluation_leaves_split_and_degeneration_unchanged(monkeypatch):
     # The Chevalley split, the rational diagonalization and every
     # degeneration report are exactly those of an all-Fraction pipeline
-    # (Horner, products and Gauss-Jordan), on conjugated fields of each kind.
+    # (Horner, products, Gauss-Jordan, the squarefree factor and the
+    # substitution), on conjugated fields of each kind.
     rng = Random(1968)
     kinds = ("rational", "nilpotent", "irrational")
     for i in range(150):
@@ -503,6 +558,62 @@ def test_substitute_linear_expands_a_six_variable_quartic():
     g = substitute_linear(f, a)
     assert all(g.terms.values())
     assert substitute_linear(g, linalg.mat_inv(a)) == f
+
+
+def _substitution_case(rng: Random, case: int):
+    """(f, basis, expected or None): 1-5 variables, degrees 1-8 in one and
+    two variables, denominators up to 2**61 - 1; every fourth case is a
+    sparse g pulled back along the inverse basis, so the expansion of f must
+    cancel down to g."""
+    n = 1 + case % 5
+    degree = 1 + case // 5 % (8 if n <= 2 else 3)
+    den = (1,) if case % 3 == 0 else (1, 2, 3, rng.choice((2**31 - 1, 2**61 - 1, 10**9 + 7)))
+    while True:
+        basis = [[Fraction(rng.randint(-2, 2), rng.choice(den)) for _ in range(n)] for _ in range(n)]
+        try:
+            inverse = linalg.mat_inv(basis)
+        except ValueError:
+            continue
+        break
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        mono = [0] * n
+        for _ in range(degree):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(den))
+    f = HPoly(n, terms)
+    if case % 4 == 1:
+        return fraction_substitute_linear(f, inverse), basis, f
+    return f, basis, None
+
+
+def test_substitute_linear_matches_fraction_reference():
+    rng = Random(1967)
+    seen = set()
+    for case in range(320):
+        f, basis, expected = _substitution_case(rng, case)
+        got = substitute_linear(f, basis)
+        assert got == fraction_substitute_linear(f, basis)
+        assert expected is None or got == expected
+        assert all(type(c) is Fraction and c for c in got.terms.values())
+        # the same expansion with |entries| cannot cancel: its support is
+        # every monomial the products reach
+        reach = fraction_substitute_linear(
+            HPoly(f.n_vars, {m: 1 for m in f.terms}), [[abs(x) for x in row] for row in basis]
+        )
+        den = lcm(*(x.denominator for row in basis for x in row))
+        scale = lcm(*(c.denominator for c in f.terms.values())) * den**f.degree
+        seen.add(f"degree {f.degree}")
+        seen.update(
+            name
+            for name, hit in (
+                ("1 variable", f.n_vars == 1),
+                ("cancel", set(got.terms) < set(reach.terms)),
+                ("past 2**64", scale > 2**64),
+            )
+            if hit
+        )
+    assert seen == {"1 variable", "cancel", "past 2**64", *(f"degree {d}" for d in range(1, 9))}
 
 
 def test_parse_field():

@@ -87,3 +87,28 @@ def test_mu_affine_laws_and_limit_idempotence():
         lim = limit_poly(lam, f)
         assert limit_poly(lam, lim) == lim
         assert mu(lam, lim) == mu(lam, f)
+
+
+def test_spectrum_matches_the_fraction_dot():
+    # weight_spectrum's integer dots against WeightVector.dot, on weights
+    # with denominators up to 2**61 - 1: the same keys, first-occurrence
+    # order and strata, and limit_poly is the stratum of the least key.
+    rng = Random(103)
+    non_integral = 0
+    for case in range(300):
+        n = 1 + case % 6
+        f = random_hpoly(rng, n, rng.randint(1, 5), 10, den_bound=3)
+        den = rng.choice(((1,), (2, 3), (1, 6, 2**61 - 1)))
+        lam = WeightVector.from_values(
+            Fraction(rng.randint(-9, 9), rng.choice(den)) for _ in range(n)
+        )
+        want: dict = {}
+        for mono, c in f.terms.items():
+            want.setdefault(lam.dot(mono), {})[mono] = c
+        got = weight_spectrum(lam, f)
+        assert list(got) == list(want)
+        assert all(type(w) is Fraction for w in got)
+        assert {w: part.terms for w, part in got.items()} == want
+        assert limit_poly(lam, f).terms == want[min(want)]
+        non_integral += not lam.is_integral
+    assert non_integral >= 150
