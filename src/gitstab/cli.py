@@ -28,7 +28,7 @@ from .linalg import frac, mat_inv
 from .poly import HPoly, infer_n_vars, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, classify_torus
 from .vfield import parse_field, parse_matrix, substitute_linear
-from .weights import WeightVector, mu, weight_spectrum, limit_poly
+from .weights import WeightVector, weight_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,8 +120,10 @@ def cmd_mu(args) -> int:
 def cmd_limit(args) -> int:
     f = _load_poly(args)
     lam = WeightVector.parse(args.weights)
-    limit = limit_poly(lam, f)
-    _emit(args, {"limit": print_poly(limit), "mu": str(mu(lam, f))}, [print_poly(limit)])
+    spectrum = weight_spectrum(lam, f)
+    value = min(spectrum)  # the minimum weight; its stratum is the limit
+    limit = spectrum[value]
+    _emit(args, {"limit": print_poly(limit), "mu": str(value)}, [print_poly(limit)])
     return EXIT_OK
 
 
@@ -152,8 +154,9 @@ def cmd_stability(args) -> int:
         raise ValueError(f"--basis-sweep must be at least 0, got {args.basis_sweep}")
     f = _load_poly(args)
     (verdict, basis), tried = _classify_with_bases(args, f)
-    basis_field = "given" if basis == "given" else _basis_json(basis)
-    payload = verdict.to_json(basis=basis_field)
+    payload = verdict.to_json()
+    if basis != "given":
+        payload["basis"] = _basis_json(basis)
     qualifier = ""
     if verdict.classification != NOT_WEAKLY_STABLE:
         qualifier = " (relative to the given coordinates)" if not tried else (

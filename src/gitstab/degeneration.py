@@ -37,7 +37,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import boxscan, linalg, stability
-from .futaki import FutakiValue, check_fano_range, futaki_from_kappa, futaki_of_limit
+from .futaki import FutakiValue, futaki_from_kappa, futaki_of_limit
 from .lazylog import LazyLogger
 from .poly import HPoly, print_poly
 from .record import record
@@ -298,9 +298,9 @@ def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
     reports it.  The first generator of each kind and the first without a
     violation are audited against their full degeneration family.
     """
-    n = f.n_vars - 1
-    d = f.degree
-    check_fano_range(n, d)
+    # The closed form at kappa = 1, which also checks the Fano range; every
+    # generator's invariant is this constant times its kappa.
+    scale = futaki_from_kappa(f.n_vars - 1, f.degree, 1).value
     boxscan.check_box_size(f.n_vars, bound)
 
     verdict = stability.classify_torus(f)
@@ -316,7 +316,7 @@ def theorem_crosscheck(f: HPoly, bound: int) -> CrosscheckReport:
         kind = _weight_kind(lo, trivial)
         if kind is None and None in audited:
             continue
-        value = futaki_from_kappa(n, d, Fraction(lo, gcd(*lam))).value
+        value = scale * Fraction(lo, gcd(*lam))
         if kind not in audited:
             audited.add(kind)
             _audit_family(f, lam, value, trivial)

@@ -259,13 +259,19 @@ def poly_primitive_gcd(a, b):
     """
     a, b = primitive(poly_trim(a)), primitive(poly_trim(b))
     while b:
-        while len(a) >= len(b):
+        # Each step cancels a's leading term, so deg a - deg b + 1 steps end
+        # below deg b; a wrong multiplier fails here instead of looping.
+        for _ in range(len(a) - len(b) + 1):
+            if len(a) < len(b):
+                break
             g = gcd(a[-1], b[-1])
             x, y, s = b[-1] // g, a[-1] // g, len(a) - len(b)
             a = [x * c for c in a]
             for i, c in enumerate(b, s):
                 a[i] -= y * c
             a = list(poly_trim(a))
+        if len(a) >= len(b):
+            raise RuntimeError("pseudo-remainder step failed to lower the degree")
         a, b = b, primitive(a)
     return a
 

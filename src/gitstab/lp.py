@@ -202,7 +202,7 @@ def solve(program: LinearProgram, pivot_log: list | None = None) -> LPOutcome:
         for r in range(len(tab)):
             d_std[basis[r]] = -tab[r][e]
         ray = tuple(d_std[i] - d_std[n + i] for i in range(n))
-        _verify_ray(program, ray)
+        _verify(program, ray, ray=True)
         return LPOutcome(UNBOUNDED, None, ray)
 
     x_std = [Fraction(0)] * total
@@ -210,27 +210,23 @@ def solve(program: LinearProgram, pivot_log: list | None = None) -> LPOutcome:
         x_std[basis[r]] = tab[r][-1]
     x = tuple(x_std[i] - x_std[n + i] for i in range(n))
     value = sum((c * v for c, v in zip(program.objective, x)), Fraction(0))
-    _verify_point(program, x)
+    _verify(program, x, ray=False)
     return LPOutcome(OPTIMAL, value, x)
 
 
-def _verify_point(program: LinearProgram, x):
-    for row, rel, rhs in program.constraints:
-        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
-        ok = lhs <= rhs if rel == LE else lhs >= rhs if rel == GE else lhs == rhs
-        if not ok:
-            raise RuntimeError(f"simplex witness violates {row} {rel} {rhs}: got {lhs}")
-
-
-def _verify_ray(program: LinearProgram, d):
-    gain = sum((c * v for c, v in zip(program.objective, d)), Fraction(0))
-    if gain <= 0:
+def _verify(program: LinearProgram, x, ray: bool):
+    """Substitute a witness into every constraint: an optimal point against
+    its right-hand side, an unbounded ray (which must also improve the
+    objective) against 0, as the recession cone has it."""
+    if ray and sum((c * v for c, v in zip(program.objective, x)), Fraction(0)) <= 0:
         raise RuntimeError("unbounded ray does not improve the objective")
     for row, rel, rhs in program.constraints:
-        lhs = sum((a * v for a, v in zip(row, d)), Fraction(0))
-        ok = lhs <= 0 if rel == LE else lhs >= 0 if rel == GE else lhs == 0
-        if not ok:
-            raise RuntimeError(f"unbounded ray leaves the recession cone at {row} {rel} 0")
+        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
+        bound = 0 if ray else rhs
+        if not (lhs <= bound if rel == LE else lhs >= bound if rel == GE else lhs == bound):
+            if ray:
+                raise RuntimeError(f"unbounded ray leaves the recession cone at {row} {rel} 0")
+            raise RuntimeError(f"simplex witness violates {row} {rel} {rhs}: got {lhs}")
 
 
 def kernel(rows):

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from . import boxscan, lp
 from .lazylog import LazyLogger
-from .poly import HPoly, support
+from .poly import HPoly
 from .record import record
 from .weights import WeightVector
 
@@ -77,18 +77,14 @@ class StabilityVerdict:
             self.classification
         ]
 
-    def to_json(self, basis="given") -> dict:
+    def to_json(self) -> dict:
         return {
             "class": self.classification,
             "destabilizer": list(self.destabilizer.as_ints()) if self.destabilizer else None,
             "mu": str(self.certificate_mu) if self.certificate_mu is not None else None,
             "fixing_dim": self.fixing_subspace_dim,
-            "basis": basis,
+            "basis": "given",
         }
-
-
-def _sorted_support(f: HPoly) -> list:
-    return sorted(support(f), reverse=True)
 
 
 # What the support weights of each kind of witness must satisfy.
@@ -117,6 +113,15 @@ def _verdict(f: HPoly, fixing_dim: int, kind=None, witness=None) -> StabilityVer
     return StabilityVerdict(classification, lam, fixing_dim, min(weights))
 
 
+def _capped(objective, rows, optima, failure: str) -> lp.LPOutcome:
+    """Maximize objective over rows plus the cap objective <= 1, appended
+    last; the program must reach an optimum in optima, or RuntimeError(failure)."""
+    out = lp.solve(lp.LinearProgram.maximize(objective, rows + [(objective, lp.LE, 1)]))
+    if out.status != lp.OPTIMAL or out.value not in optima:
+        raise RuntimeError(failure)
+    return out
+
+
 def classify_torus(f: HPoly) -> StabilityVerdict:
     """Exact classification in the given coordinates via linear programming.
 
@@ -124,7 +129,7 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     C > L, and the cone program only when no strict witness exists (see the
     module docstring).
     """
-    gammas = _sorted_support(f)
+    gammas = sorted(f.terms, reverse=True)
     n = f.n_vars
     ones = tuple(Fraction(1) for _ in range(n))
     fixing_basis = lp.kernel([ones] + gammas)
@@ -137,10 +142,7 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     last = n - 1
     t_mu = tuple(total[i] - total[last] for i in range(last))
     decide = [([g[last] - g[i] for i in range(last)], lp.LE, 0) for g in gammas]
-    out = lp.solve(lp.LinearProgram.maximize(t_mu, decide + [(t_mu, lp.LE, 1)]))
-    if out.status != lp.OPTIMAL or out.value not in (0, 1):
-        raise RuntimeError("decision program must optimize at 0 or at the cap")
-
+    out = _capped(t_mu, decide, (0, 1), "decision program must optimize at 0 or at the cap")
     if out.value == 0:
         # Every lambda in C has all weights zero, so C = L.
         if fixing_dim == 0:
@@ -151,19 +153,13 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     m_col = tuple(Fraction(int(i == n)) for i in range(n + 1))
     strict = [(ones + (Fraction(0),), lp.EQ, 0)]
     strict += [(g + (Fraction(-1),), lp.GE, 0) for g in gammas]
-    strict += [(m_col, lp.LE, 1)]
-    out2 = lp.solve(lp.LinearProgram.maximize(m_col, strict))
-    if out2.status != lp.OPTIMAL or out2.value not in (0, 1):
-        raise RuntimeError("strict cone program must optimize at 0 or at the cap")
-
-    if out2.value == 1:
-        kind, witness = "strict", out2.witness[:n]
+    out = _capped(m_col, strict, (0, 1), "strict cone program must optimize at 0 or at the cap")
+    if out.value == 1:
+        kind, witness = "strict", out.witness[:n]
     else:
         cone = [(ones, lp.EQ, 0)] + [(g, lp.GE, 0) for g in gammas]
-        out3 = lp.solve(lp.LinearProgram.maximize(total, cone + [(total, lp.LE, 1)]))
-        if out3.status != lp.OPTIMAL or out3.value != 1:
-            raise RuntimeError("cone and decision programs disagree")
-        kind, witness = "semi", out3.witness
+        out = _capped(total, cone, (1,), "cone and decision programs disagree")
+        kind, witness = "semi", out.witness
     v = _verdict(f, fixing_dim, kind, witness)
     msg = "destabilizer %s with mu=%s (strict=%s)"
     log.debug(msg, v.destabilizer, v.certificate_mu, kind == "strict")
@@ -177,7 +173,7 @@ def oracle_classify(f: HPoly, box_bound: int) -> StabilityVerdict:
     stable and weakly-stable verdicts only assert that no witness exists with
     entries bounded by box_bound.
     """
-    gammas = _sorted_support(f)
+    gammas = sorted(f.terms, reverse=True)
     res = boxscan.scan_box(gammas, f.n_vars, box_bound)
     fixing = res.fixing_basis[0] if res.fixing_basis else None
     for kind, witness in (("strict", res.strict), ("semi", res.semi), ("fixing", fixing)):
@@ -187,22 +183,15 @@ def oracle_classify(f: HPoly, box_bound: int) -> StabilityVerdict:
 
 
 def verdicts_consistent(exact: StabilityVerdict, boxed: StabilityVerdict, bound: int) -> bool:
-    """Whether an LP verdict and a box verdict can both be right.
+    """Whether an LP verdict and a box verdict can both be right: they name
+    the same class, or the LP class is the stronger and its witness lies
+    outside the box.
 
     The box is sound but incomplete for instability, and its fixing rank can
     undercount when the fixing subspace meets the box only at zero; an LP
     witness with some entry beyond the bound is invisible to the box.
     """
-    ec, bc = exact.classification, boxed.classification
-    if bc == NOT_WEAKLY_STABLE:
-        return ec == NOT_WEAKLY_STABLE
-    if bc == WEAKLY_STABLE_NOT_STABLE:
-        if ec == STABLE:
-            return False
-        if ec == NOT_WEAKLY_STABLE:
-            return max(abs(int(x)) for x in exact.destabilizer) > bound
+    if exact.classification == boxed.classification:
         return True
-    # box saw stability: any exact witness must live outside the box
-    if ec == STABLE:
-        return True
-    return max(abs(int(x)) for x in exact.destabilizer) > bound
+    # Verdict exit codes 0 < 3 < 4 rank the classes from stable up.
+    return exact.exit_code > boxed.exit_code and max(map(abs, exact.destabilizer)) > bound

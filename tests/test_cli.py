@@ -8,11 +8,16 @@ import subprocess
 import sys
 import time
 
+from random import Random
+
 import pytest
 
 from gitstab.cli import main
+from gitstab.poly import print_poly
 from helpers import (
     README_CLI_RECORD,
+    random_hpoly,
+    random_weights,
     readme_cli_examples,
     run_cli,
     run_python,
@@ -120,6 +125,16 @@ def test_weights_must_parse(capsys):
 def test_limit(capsys):
     code, payload = run_json(capsys, "limit", "-f", FERMAT, "-w=1,-1,0,0")
     assert code == 0 and payload == {"limit": "z1^3", "mu": "-3"}
+    # limit reads the same spectrum as mu: its answer is mu's limit and mu
+    rng = Random(4242)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        f = print_poly(random_hpoly(rng, n, rng.randint(1, 4), 8, den_bound=3))
+        w = "-w=" + ",".join(map(str, random_weights(rng, n, bound=5, den_bound=rng.choice((1, 4)))))
+        code, limit = run_json(capsys, "limit", "-f", f, "-n", str(n), w)
+        assert code == 0
+        code, spectrum = run_json(capsys, "mu", "-f", f, "-n", str(n), w)
+        assert limit == {"limit": spectrum["limit"], "mu": spectrum["mu"]}, (f, w)
 
 
 def test_futaki_json(capsys):

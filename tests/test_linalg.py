@@ -13,6 +13,7 @@ from helpers import (
     fraction_squarefree_part,
     random_invertible,
     random_matrix,
+    run_python,
 )
 
 
@@ -124,6 +125,26 @@ def test_poly_primitive_gcd():
     assert linalg.poly_primitive_gcd([1, 0, 1], [-1, 1]) in ([1], [-1])
     assert linalg.poly_primitive_gcd([0, 4, 2, 0], []) == [0, 2, 1]
     assert linalg.poly_primitive_gcd([], [0]) == []
+
+
+def test_wrong_multiplier_ends_gcd_in_runtime_error():
+    # Multiplying a by b's leading coefficient instead of b_lead / gcd(a_lead,
+    # b_lead) keeps a's leading term when that gcd exceeds 1, as for 2x^2 + 1
+    # against 2x + 1, so the degree never drops; the step count per
+    # pseudo-remainder stops the copy at once.
+    code = (
+        "import inspect\n"
+        "from gitstab import linalg\n"
+        "src = inspect.getsource(linalg.poly_primitive_gcd)\n"
+        "exec(src.replace('x, y, s = b[-1] // g,', 'x, y, s = b[-1],'), vars(linalg))\n"
+        "try:\n"
+        "    linalg.poly_primitive_gcd([1, 0, 2], [1, 2])\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    out = run_python("-c", code, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "pseudo-remainder step failed to lower the degree\n"
 
 
 def test_squarefree_part():

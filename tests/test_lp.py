@@ -68,6 +68,30 @@ def test_validation_errors():
         LinearProgram.maximize([1], [([1], "<", 0)])
 
 
+def test_verification_rejects_bad_points_and_rays():
+    # The one check behind every answer: a point against each right-hand
+    # side, a ray against 0 after it must improve the objective.
+    program = _program([1, 1], [([1, 0], LE, 1), ([0, 1], EQ, 2), ([1, 1], GE, 0)])
+    x_row = "(Fraction(1, 1), Fraction(0, 1))"
+    y_row = "(Fraction(0, 1), Fraction(1, 1))"
+    sum_row = "(Fraction(1, 1), Fraction(1, 1))"
+    cases = [
+        ((2, 2), False, f"simplex witness violates {x_row} <= 1: got 2"),
+        ((0, 1), False, f"simplex witness violates {y_row} = 2: got 1"),
+        ((-3, 2), False, f"simplex witness violates {sum_row} >= 0: got -1"),
+        ((1, 0), True, f"unbounded ray leaves the recession cone at {x_row} <= 0"),
+        ((0, 1), True, f"unbounded ray leaves the recession cone at {y_row} = 0"),
+        ((-1, 0), True, "unbounded ray does not improve the objective"),
+        ((0, 0), True, "unbounded ray does not improve the objective"),
+    ]
+    for x, ray, message in cases:
+        with pytest.raises(RuntimeError) as exc:
+            lp._verify(program, tuple(map(Fraction, x)), ray)
+        assert str(exc.value) == message
+    lp._verify(program, (Fraction(1), Fraction(2)), False)
+    lp._verify(_program([1, 1], [([1, 0], LE, 1), ([1, 1], GE, 0)]), (0, 1), True)
+
+
 def test_kernel_golden():
     basis = kernel([(1, 1, 1, 1), (1, 2, 0, 0)])
     assert len(basis) == 2

@@ -110,21 +110,31 @@ def test_oracle_box_guard():
 
 
 def test_verdicts_consistent_rules():
+    # The full table: every (LP class, box class) pair, with the LP witness
+    # inside and outside a box of radius 3.  The box is sound, so a pair is
+    # consistent exactly when the classes agree or the LP class is stronger
+    # and its witness lies outside the box, where the box cannot see it.
     mk = lambda cls, lam=None: StabilityVerdict(
         cls,
         WeightVector.from_values(lam) if lam else None,
         0,
         Fraction(0) if lam else None,
     )
-    assert verdicts_consistent(mk(STABLE), mk(STABLE), 3)
-    assert verdicts_consistent(mk(NOT_WEAKLY_STABLE, (1, -1)), mk(NOT_WEAKLY_STABLE, (1, -1)), 3)
-    # box found instability but LP says stable: impossible
-    assert not verdicts_consistent(mk(STABLE), mk(NOT_WEAKLY_STABLE, (1, -1)), 3)
-    # LP witness beyond the box radius is invisible to the box
-    assert verdicts_consistent(mk(NOT_WEAKLY_STABLE, (9, -9)), mk(STABLE), 3)
-    assert not verdicts_consistent(mk(NOT_WEAKLY_STABLE, (2, -2)), mk(STABLE), 3)
-    # box found a fixing line but LP says stable: impossible
-    assert not verdicts_consistent(mk(STABLE), mk(WEAKLY_STABLE_NOT_STABLE, (1, -1)), 3)
+    inside, outside = (2, -2), (9, -9)
+    boxes = [mk(STABLE), mk(WEAKLY_STABLE_NOT_STABLE, (1, -1)), mk(NOT_WEAKLY_STABLE, (1, -1))]
+    table = [  # LP verdict, consistent with a stable, weakly stable, unstable box
+        (mk(STABLE), (True, False, False)),
+        (mk(WEAKLY_STABLE_NOT_STABLE, inside), (False, True, False)),
+        (mk(WEAKLY_STABLE_NOT_STABLE, outside), (True, True, False)),
+        (mk(NOT_WEAKLY_STABLE, inside), (False, False, True)),
+        (mk(NOT_WEAKLY_STABLE, outside), (True, True, True)),
+    ]
+    for exact, want in table:
+        got = tuple(verdicts_consistent(exact, boxed, 3) for boxed in boxes)
+        assert got == want, (exact.classification, exact.destabilizer)
+    # the witness entry of largest size decides, whatever its sign
+    assert verdicts_consistent(mk(NOT_WEAKLY_STABLE, (-4, 1, 3)), boxes[0], 3)
+    assert not verdicts_consistent(mk(NOT_WEAKLY_STABLE, (-3, 0, 3)), boxes[0], 3)
 
 
 def test_lp_and_oracle_agree_randomized():
