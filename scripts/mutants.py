@@ -1,0 +1,284 @@
+#!/usr/bin/env python3
+"""Mutation gate for the exact kernels: every mutant in the table must be killed.
+
+Each row of MUTANTS names a package source file, an exact snippet that occurs
+once in it, the snippet's replacement, the test selection that must fail on
+the mutated copy, and a time limit in seconds.  For each row the script copies
+the checkout (without .git) into a temporary directory, replaces the snippet
+there, and runs the selection under pytest in a fresh interpreter.  The
+mutant is killed when the selection fails or is still running at the limit
+(a wrong kernel may loop instead of failing).  Every distinct selection first
+runs once on an unmutated copy and must pass there, so a kill is the
+mutation's doing.
+
+    python3 scripts/mutants.py                 # the whole table
+    python3 scripts/mutants.py --list          # print the table
+    python3 scripts/mutants.py newton-cap ...  # only the named rows
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when a
+snippet does not occur exactly once or a selection fails unmutated.
+`tests/test_source.py` checks the snippets on every test run, so a refactor
+that moves one must update its row.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+Mutant = namedtuple("Mutant", "name path snippet replacement tests limit")
+
+VFIELD, LINALG = "src/gitstab/vfield.py", "src/gitstab/linalg.py"
+STABILITY, FUTAKI = "src/gitstab/stability.py", "src/gitstab/futaki.py"
+WRONG_KERNELS = ("tests/test_degeneration.py", "-k", "wrong")
+
+MUTANTS = (
+    # The eigenbasis certificate of rational_diagonalize, one check at a time;
+    # only the wrong-kernel tests reach the guards.
+    Mutant("eigenspace-count", VFIELD, "if len(weights) != n:", "if False:", WRONG_KERNELS, 120),
+    Mutant(
+        "eigenbasis-rank",
+        VFIELD,
+        "if len(linalg.rref(basis)[1]) != n:",
+        "if False:",
+        WRONG_KERNELS,
+        120,
+    ),
+    Mutant(
+        "eigen-equation",
+        VFIELD,
+        "if linalg.mat_mul(a, basis) != ",
+        "if False and linalg.mat_mul(a, basis) != ",
+        WRONG_KERNELS,
+        120,
+    ),
+    # Newton steps capped at ceil(log2 n) - 2: too few for a Jordan block of 8.
+    Mutant(
+        "newton-cap",
+        VFIELD,
+        "range((v.n - 1).bit_length() + 2)",
+        "range((v.n - 1).bit_length() - 2)",
+        ("tests/test_vfield.py::test_chevalley_splits_three_jordan_blocks_of_size_eight",),
+        120,
+    ),
+    # Pseudo-division by b_lead instead of b_lead / gcd(a_lead, b_lead).
+    Mutant(
+        "gcd-multiplier",
+        LINALG,
+        "x, y, s = b[-1] // g, a[-1] // g,",
+        "x, y, s = b[-1], a[-1] // g,",
+        ("tests/test_linalg.py", "-k", "squarefree"),
+        120,
+    ),
+    # Pseudo-remainders kept with their content.
+    Mutant(
+        "gcd-not-primitive",
+        LINALG,
+        "a, b = b, primitive(a)",
+        "a, b = b, a",
+        ("tests/test_linalg.py", "-k", "squarefree"),
+        120,
+    ),
+    # The substitution divided by C*D^(d-1) instead of C*D^d.
+    Mutant(
+        "substitution-scale",
+        VFIELD,
+        "scale *= den**f.degree",
+        "scale *= den ** (f.degree - 1)",
+        ("tests/test_vfield.py::test_substitute_linear_matches_fraction_reference",),
+        120,
+    ),
+    # Each rref pivot row divided by the pivot's absolute value.
+    Mutant(
+        "rref-abs-pivot",
+        LINALG,
+        "Fraction(x, row[c]) if x else zero",
+        "Fraction(x, abs(row[c])) if x else zero",
+        ("tests/test_linalg.py", "-k", "rref or fraction_free"),
+        120,
+    ),
+    # Weight dots without the lcm of the weights' denominators.
+    Mutant(
+        "spectrum-denominator",
+        "src/gitstab/weights.py",
+        "return {Fraction(w, den): ",
+        "return {Fraction(w): ",
+        ("tests/test_weights.py::test_spectrum_matches_the_fraction_dot",),
+        120,
+    ),
+    # A rational root accepted without the exact evaluation.
+    Mutant("roots-exact-check", VFIELD, "if _horner(q, y):", "if False:", ("tests/test_vfield.py", "-k", "root"), 120),
+    # Zero coefficients kept in HPoly's terms.
+    Mutant(
+        "hpoly-zero-terms",
+        "src/gitstab/poly.py",
+        "if not coeff:",
+        "if coeff is None:",
+        ("tests/test_poly.py", "tests/test_vfield.py", "-k", "cancel"),
+        120,
+    ),
+    # The witness checks of _verdict, each weakened.
+    Mutant(
+        "verdict-fixing",
+        STABILITY,
+        '"fixing": lambda ws: not any(ws),',
+        '"fixing": lambda ws: True,',
+        ("tests/test_stability.py",),
+        120,
+    ),
+    Mutant(
+        "verdict-semi",
+        STABILITY,
+        '"semi": lambda ws: min(ws) >= 0 and any(ws),',
+        '"semi": lambda ws: min(ws) >= 0,',
+        ("tests/test_stability.py",),
+        120,
+    ),
+    Mutant(
+        "verdict-strict",
+        STABILITY,
+        '"strict": lambda ws: min(ws) > 0,',
+        '"strict": lambda ws: min(ws) >= 0,',
+        ("tests/test_stability.py",),
+        120,
+    ),
+    # The decision program's rows in trace-zero coordinates, and the strict
+    # program's trace row.
+    Mutant(
+        "decision-rows",
+        STABILITY,
+        "[g[last] - g[i] for i in range(last)]",
+        "[g[last] - g[i] for i in range(last - 1)] + [0]",
+        ("tests/test_stability.py",),
+        120,
+    ),
+    Mutant(
+        "strict-trace-row",
+        STABILITY,
+        "strict = [(ones + (Fraction(0),), lp.EQ, 0)]",
+        "strict = []",
+        ("tests/test_stability.py",),
+        120,
+    ),
+    # Bland's tie-break in the ratio test, reversed.
+    Mutant(
+        "bland-tie-break",
+        "src/gitstab/lp.py",
+        "(ratio == best and basis[r] < basis[pr])",
+        "(ratio == best and basis[r] > basis[pr])",
+        ("tests/test_lp.py",),
+        120,
+    ),
+    # The box enumerator letting the last coordinate reach bound + 1.
+    Mutant(
+        "box-bound",
+        "src/gitstab/boxscan.py",
+        "if last < -bound or last > bound:",
+        "if last < -bound or last > bound + 1:",
+        ("tests/test_boxscan.py",),
+        120,
+    ),
+    # The Futaki closed form with its sign flipped, and the Fano range
+    # admitting d = n + 1.
+    Mutant(
+        "futaki-sign",
+        FUTAKI,
+        "return -Fraction(n + 1 - d)",
+        "return Fraction(n + 1 - d)",
+        ("tests/test_futaki.py",),
+        120,
+    ),
+    Mutant("fano-range", FUTAKI, "if not 1 < d < n + 1:", "if not 1 < d <= n + 1:", ("tests/test_futaki.py",), 120),
+)
+
+
+def occurrences(m: Mutant, root: str = ROOT) -> int:
+    with open(os.path.join(root, m.path), encoding="utf-8") as fh:
+        return fh.read().count(m.snippet)
+
+
+def copy_tree(dest: str) -> None:
+    """The checkout without its git directory and caches."""
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench-*")
+    shutil.copytree(ROOT, dest, ignore=ignore)
+
+
+def run_tests(tree: str, tests: tuple, limit: float) -> str:
+    """'passed', 'failed' or 'timeout' for one pytest run inside tree; on
+    timeout the run's whole process group is killed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.Popen(
+        cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        code = proc.wait(timeout=limit)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "timeout"
+    return "passed" if code == 0 else "failed"
+
+
+def check(m: Mutant, tree: str) -> str:
+    """Apply m in a fresh copy under tree and run its selection."""
+    copy = os.path.join(tree, m.name)
+    copy_tree(copy)
+    path = os.path.join(copy, m.path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(m.snippet, m.replacement))
+    return run_tests(copy, m.tests, m.limit)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="rows to run (default: all)")
+    ap.add_argument("--list", action="store_true", help="print the table and exit")
+    args = ap.parse_args(argv)
+    known = {m.name for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        ap.error(f"unknown mutant(s): {', '.join(unknown)}")
+    rows = [m for m in MUTANTS if not args.names or m.name in args.names]
+    if args.list:
+        for m in rows:
+            print(f"{m.name}: {m.path}: {m.snippet!r} -> {m.replacement!r}; {' '.join(m.tests)}")
+        return 0
+    misplaced = [m.name for m in rows if occurrences(m) != 1]
+    if misplaced:
+        print(f"snippet not found exactly once: {', '.join(misplaced)}")
+        return 2
+    with tempfile.TemporaryDirectory(prefix="gitstab-mutants-") as tree:
+        base = os.path.join(tree, "unmutated")
+        copy_tree(base)
+        for tests in dict.fromkeys(m.tests for m in rows):
+            outcome = run_tests(base, tests, max(m.limit for m in rows if m.tests == tests))
+            if outcome != "passed":
+                print(f"selection {' '.join(tests)} {outcome} on the unmutated copy")
+                return 2
+        survivors = []
+        for m in rows:
+            start = time.perf_counter()
+            outcome = check(m, tree)
+            verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
+            print(f"{m.name}: {verdict} in {time.perf_counter() - start:.1f} s", flush=True)
+            if outcome == "passed":
+                survivors.append(m.name)
+    print(f"{len(rows) - len(survivors)} of {len(rows)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

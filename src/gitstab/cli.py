@@ -24,7 +24,7 @@ from . import lp
 from .degeneration import build_degeneration, from_destabilizer, theorem_crosscheck
 from .futaki import futaki_of_limit
 from .lazylog import configure_on_first_use
-from .linalg import frac, mat_inv
+from .linalg import frac, require_invertible
 from .poly import HPoly, infer_n_vars, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, classify_torus
 from .vfield import parse_field, parse_matrix, substitute_linear
@@ -70,19 +70,16 @@ def _emit(args, payload: dict, human_lines):
 
 
 def _parse_basis(text: str, n: int):
-    basis = parse_matrix(text, n, "basis")
-    mat_inv(basis)  # raises ValueError when singular
-    return basis
+    return require_invertible(parse_matrix(text, n, "basis"))
 
 
 def _random_basis(rng: Random, n: int):
     for _ in range(200):
         rows = tuple(tuple(frac(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
         try:
-            mat_inv(rows)
+            return require_invertible(rows)
         except ValueError:
-            continue
-        return rows
+            pass
     raise RuntimeError("random search failed to produce an invertible matrix")
 
 

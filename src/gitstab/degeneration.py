@@ -67,13 +67,14 @@ class DegenerationFamily:
     strata: dict  # int exponent -> HPoly
 
     def fiber(self, s) -> HPoly:
-        """G(s) at a rational s; strata sharing a monomial add up."""
+        """G(s) at a rational s; strata sharing a monomial add up.  A stratum
+        with s^e = 1 (every one at s = 1) adds its coefficients unscaled."""
         s = Fraction(s)
         terms: dict = {}
         for e, part in self.strata.items():
             se = s**e
             for mono, c in part.terms.items():
-                terms[mono] = terms.get(mono, 0) + c * se
+                terms[mono] = terms.get(mono, 0) + (c if se == 1 else c * se)
         return HPoly(self.base_poly.n_vars, terms)
 
     @property

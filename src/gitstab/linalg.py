@@ -5,9 +5,13 @@ anywhere.  The matrix kernels on the Chevalley and eigenbasis path are
 fraction-free.  `mat_mul`, `charpoly` and `poly_eval_matrix` scale each
 matrix to integers once (D*A, with D the lcm of its denominators), work on
 ints, and divide once per output entry at the end.  `rref` (and through it
-`nullspace` and `mat_inv`) eliminates on primitive integer rows and divides
-each pivot row by its pivot once at the end.  Their outputs are still
-Fractions, the same reduced values the Fraction arithmetic gives.
+`nullspace`, `mat_inv` and the rank test `require_invertible`) eliminates
+on primitive integer rows and divides each pivot row by its pivot once at
+the end.  Their outputs are still Fractions, the same reduced values the
+Fraction arithmetic gives.  `mat_inv` serves the one caller that uses the
+inverse, the Newton step of the Chevalley split; a test of invertibility
+alone is `require_invertible`, which reduces a matrix by itself rather than
+beside the identity.
 Matrices are small (the ambient dimension is the number of coordinates,
 rarely above 8), so the quadratic and cubic algorithms below are perfectly
 adequate.
@@ -192,6 +196,14 @@ def mat_inv(a):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def require_invertible(a):
+    """The square matrix a itself if its rank, the pivot count of `rref`, is
+    its size; ValueError("matrix is singular") otherwise."""
+    if len(rref(a)[1]) != len(a):
+        raise ValueError("matrix is singular")
+    return a
 
 
 def _integer_scaled(a):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import add
 
 from .linalg import frac
 
@@ -132,7 +133,7 @@ def _mul_maps(a: Mapping, b: Mapping) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             out[m] = out.get(m, 0) + ca * cb
     return out
 
@@ -194,11 +195,15 @@ def parse_poly(text: str, n_vars: int) -> HPoly:
     sign = take("op", "+-") or "+"  # optional before the first term, required after
     while sign:
         coeff = Fraction(1)
+        start = tokens[i][2]
         num = take("int")
         if num is not None:
             coeff = Fraction(num, positive("/", "expected denominator after '/'", "denominator"))
             if take("op", "*") is None:
-                raise PolyParseError("expected '*' between coefficient and variables", tokens[i][2])
+                pos = tokens[i][2]
+                if tokens[i][1] in (None, "+", "-"):  # the term ends without a variable
+                    raise PolyParseError(f"constant term {text[start:pos].strip()} has no variable", start)
+                raise PolyParseError("expected '*' between coefficient and variables", pos)
         mono = [0] * n_vars
         while True:  # one or more '*'-separated factors
             pos = tokens[i][2]
@@ -232,14 +237,11 @@ def _mono_str(mono: Monomial) -> str:
 
 def print_poly(f: HPoly) -> str:
     """Canonical text form: terms in descending lex order on exponents."""
-    parts = []
+    out = ""
     for mono in sorted(f.terms, reverse=True):
         c = f.terms[mono]
         mag = abs(c)
-        body = _mono_str(mono) if mag == 1 else f"{mag}*{_mono_str(mono)}"
-        parts.append(("-" if c < 0 else "+", body))
-    head_sign, head = parts[0]
-    out = ("- " if head_sign == "-" else "") + head
-    for s, body in parts[1:]:
-        out += f" {s} {body}"
-    return out
+        out += (" - " if c < 0 else " + ") + (
+            _mono_str(mono) if mag == 1 else f"{mag}*{_mono_str(mono)}"
+        )
+    return out[3:] if out[1] == "+" else "- " + out[3:]

@@ -6,11 +6,12 @@ sum_ij a_ij gamma_i z_j z^(gamma - e_i).  Diagonal fields act on monomials
 with eigenvalue <lambda, gamma>; the rest of the module is about reducing a
 general field to that case: the additive semisimple/nilpotent splitting over
 the rationals, exact diagonalization when the eigenvalues are rational
-(decided by integer p-adic root finding, with no external algebra system), and
-linear changes of coordinates on polynomials, expanded on integers with one
-Fraction per output term.  The splitting and the diagonalization take the
-squarefree characteristic factor from their caller, which computes it once
-per field.  `parse_matrix` is the one reader of n x n JSON matrices (a field,
+(decided by integer p-adic root finding, with no external algebra system, and
+certified by rank and the eigen-equation A*P = P*D rather than by an
+inverse), and linear changes of coordinates on polynomials, expanded on
+integers with one Fraction per output term.  The splitting and the
+diagonalization take the squarefree characteristic factor from their caller,
+which computes it once per field.  `parse_matrix` is the one reader of n x n JSON matrices (a field,
 a basis); every malformed one is a ValueError.
 """
 
@@ -20,6 +21,7 @@ import json
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, isqrt
+from operator import mul
 
 from . import linalg
 from .poly import HPoly, _mul_maps, shared_monomial
@@ -263,9 +265,14 @@ def rational_diagonalize(v: LinearVectorField, psf: tuple):
     semisimple part from chevalley_split).  Returns (weights, basis_matrix)
     with basis_matrix columns an eigenbasis ordered by decreasing eigenvalue,
     or None when psf has an irrational factor (the field is then unsupported
-    here, not an error).  The eigenspace-dimension and conjugation checks
-    below certify the returned basis; they raise RuntimeError when v is not
-    semisimple.
+    here, not an error).
+
+    Three checks certify the returned P without inverting it: the eigenspace
+    dimensions sum to n, P has rank n (its pivot count in `linalg.rref`),
+    and A*P = P*D, with P*D the columns of P scaled by their eigenvalues.
+    Rank n makes P invertible, and then A*P = P*D is exactly P^-1*A*P = D.
+    A failed check raises RuntimeError: v is not semisimple, or a kernel is
+    wrong.
     """
     a = v.rows
     n = v.n
@@ -281,8 +288,9 @@ def rational_diagonalize(v: LinearVectorField, psf: tuple):
     if len(weights) != n:
         raise RuntimeError("eigenspace dimensions must sum to the ambient dimension")
     basis = tuple(zip(*cols))
-    conjugated = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(a, basis))
-    if conjugated != LinearVectorField.diagonal(weights).rows:
+    if len(linalg.rref(basis)[1]) != n:
+        raise RuntimeError("eigenbasis must have full rank")
+    if linalg.mat_mul(a, basis) != tuple(tuple(map(mul, row, weights)) for row in basis):
         raise RuntimeError("eigenbasis must diagonalize")
     return WeightVector(tuple(weights)), basis
 
@@ -294,6 +302,7 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
     and C that of f's coefficients, C*f is expanded along the integer
     substitution D*P, which gives C*D^d times the result (f has degree d), so
     each output term is one Fraction(x, C*D^d), its reduced coefficient.
+    A singular P is refused by `linalg.require_invertible`'s rank test.
     """
     p = linalg.mat(basis)
     n = f.n_vars
@@ -313,7 +322,7 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
             f"substitution needs about {work} coefficient products, "
             f"above the {MAX_SUBSTITUTION_WORK} limit"
         )
-    linalg.mat_inv(p)  # raises ValueError when singular
+    linalg.require_invertible(p)
     ints, den = linalg.clear_denominators([x for row in p for x in row])
     coeffs, scale = linalg.clear_denominators(f.terms.values())
     zero_mono = tuple([0] * n)

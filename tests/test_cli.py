@@ -241,6 +241,18 @@ def test_basis_sweep_stops_once_not_weakly_stable(capsys, monkeypatch):
     assert len(bases) == len(drawn) == 2
 
 
+def test_stability_refuses_a_singular_basis(capsys):
+    singular = "[[1,1,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    for extra in ((), ("--basis-sweep", "2")):
+        code, out, err = run(capsys, "stability", "-f", FERMAT, "--basis", singular, *extra)
+        assert (code, out, err) == (2, "", "error: matrix is singular\n")
+
+
+def test_a_constant_term_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "mu", "-f", "z0^2 + 3", "-n", "3", "-w=1,2,3")
+    assert (code, out, err) == (2, "", "error: constant term 3 has no variable (at position 7)\n")
+
+
 def test_stability_refuses_a_negative_basis_sweep(capsys):
     code, out, err = run(capsys, "stability", "-f", "z0^2+z1^2", "--basis-sweep", "-1")
     assert (code, out, err) == (2, "", "error: --basis-sweep must be at least 0, got -1\n")

@@ -1,11 +1,13 @@
 """Degeneration families, their invariants, and the equivalence crosscheck."""
 
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from gitstab import boxscan, degeneration, stability
+from gitstab import boxscan, degeneration, linalg, stability
+from gitstab.cli import main
 from gitstab.degeneration import (
     CrosscheckReport,
     CrosscheckViolation,
@@ -171,6 +173,56 @@ def test_swap_field_goes_through_an_eigenbasis():
     assert rep.family.strata[4] == hp("2*z0^3", 4)
     assert rep.normalized_trace_zero_generator == WeightVector.parse("1,0,0,-1")
     assert rep.futaki.value == Fraction(8, 3)
+
+
+SWAP = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+def _repeat_first(basis):
+    return [basis[0]] * len(basis)
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        # e2 added to each one-dimensional eigenspace's vector: the basis
+        # keeps rank 4 and the dimension count, but A*P != P*D
+        (lambda b: [tuple(x + (k == 2) for k, x in enumerate(b[0]))] if len(b) == 1 else b,
+         "must diagonalize"),
+        # the kernel of A repeats its first vector: A*P = P*D and the
+        # dimensions still sum to 4, but P is singular
+        (_repeat_first, "must have full rank"),
+        # a repeated vector on top: five columns of rank 4 with A*P = P*D
+        (lambda b: b + b[:1] if len(b) == 2 else b, "must sum to the ambient dimension"),
+    ],
+    ids=["not-an-eigenvector", "duplicated-column", "extra-column"],
+)
+def test_a_wrong_eigenspace_kernel_ends_in_runtime_error(monkeypatch, wrong, message):
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: wrong(real(rows)))
+    with pytest.raises(RuntimeError, match=message):
+        build_degeneration(hp(FERMAT, 4), LinearVectorField(SWAP))
+
+
+def test_a_singular_eigenbasis_is_an_internal_error(monkeypatch, capsys):
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows: _repeat_first(real(rows)))
+    assert main(["degenerate", "-f", FERMAT, "--field", json.dumps(SWAP)]) == 6
+    assert capsys.readouterr().err == "internal error: eigenbasis must have full rank\n"
+
+
+@pytest.mark.parametrize(
+    "psf",
+    [(Fraction(-1), 0, 1), (0, Fraction(2), Fraction(-3), 1)],  # x^2 - 1, x(x - 1)(x - 2)
+    ids=["missing-root", "wrong-root"],
+)
+def test_a_wrong_squarefree_factor_ends_in_runtime_error(monkeypatch, psf):
+    # The swap field's factor is x^3 - x; either wrong one leaves fewer than
+    # four eigenvectors.
+    real = degeneration.rational_diagonalize
+    monkeypatch.setattr(degeneration, "rational_diagonalize", lambda v, _: real(v, psf))
+    with pytest.raises(RuntimeError, match="must sum to the ambient dimension"):
+        build_degeneration(hp(FERMAT, 4), LinearVectorField(SWAP))
 
 
 def test_nilpotent_part_moving_f_is_rejected():

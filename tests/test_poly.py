@@ -76,6 +76,13 @@ def _error_case(text, message, position, short=None):
         _error_case("z0^*z1", "expected an integer exponent after '^'", 3),
         # a sign separates terms; it never starts a coefficient
         _error_case("z0^2 + -3*z1^2", "expected a variable like z0", 7),
+        # a term without a variable is named with its position
+        _error_case("0", "constant term 0 has no variable", 0, "constant"),
+        _error_case("5", "constant term 5 has no variable", 0, "constant"),
+        _error_case("z0^2 + 3", "constant term 3 has no variable", 7, "constant"),
+        _error_case("1/2", "constant term 1/2 has no variable", 0, "constant"),
+        _error_case("- 2 / 4 + z0", "constant term 2 / 4 has no variable", 2, "constant"),
+        _error_case("3^2*z0", "expected '*' between coefficient and variables", 1, "expected '*'"),
     ],
 )
 def test_parse_errors(text, message, position):

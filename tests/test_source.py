@@ -2,6 +2,7 @@
 
 import ast
 import glob
+import importlib.util
 import os
 import re
 import shutil
@@ -237,3 +238,17 @@ def test_readme_library_example_runs():
     out = run_python("-c", blocks[0], timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["3", "z0*z1^2 + z2^2*z3 - z2*z3^2", "-8", "True"]
+
+
+def test_every_mutant_snippet_occurs_once():
+    # scripts/mutants.py, the mutation gate, runs as its own CI job; here its
+    # table is only checked against the source, so a refactor that moves a
+    # snippet must update the row instead of orphaning it.
+    spec = importlib.util.spec_from_file_location("mutants", os.path.join(ROOT, "scripts", "mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    rows = mutants.MUTANTS
+    assert len({m.name for m in rows}) == len(rows) >= 7
+    assert [m.name for m in rows if mutants.occurrences(m) != 1] == []
+    selected = {m.tests[0].split("::")[0] for m in rows}
+    assert [t for t in selected if not os.path.isfile(os.path.join(ROOT, t))] == []
