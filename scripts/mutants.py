@@ -3,9 +3,11 @@
 
 Each row of MUTANTS names a package source file, an exact snippet that occurs
 once in it, the snippet's replacement, the test selection that must fail on
-the mutated copy, and a time limit in seconds.  For each row the script copies
-the checkout (without .git) into a temporary directory, replaces the snippet
-there, and runs the selection under pytest in a fresh interpreter.  The
+the mutated copy, and a time limit in seconds.  A mutant that changes several
+places gives tuples of snippets and replacements, applied in order; each
+snippet must occur once.  For each row the script copies the checkout
+(without .git) into a temporary directory, replaces the snippets there, and
+runs the selection under pytest in a fresh interpreter.  The
 mutant is killed when the selection fails or is still running at the limit
 (a wrong kernel may loop instead of failing).  Every distinct selection first
 runs once on an unmutated copy and must pass there, so a kill is the
@@ -41,24 +43,66 @@ VFIELD, LINALG = "src/gitstab/vfield.py", "src/gitstab/linalg.py"
 STABILITY, FUTAKI = "src/gitstab/stability.py", "src/gitstab/futaki.py"
 WRONG_KERNELS = ("tests/test_degeneration.py", "-k", "wrong")
 
+DEGENERATION = "src/gitstab/degeneration.py"
+
 MUTANTS = (
-    # The eigenbasis certificate of rational_diagonalize, one check at a time;
+    # The eigenbasis certificate of diagonalize_integer, one check at a time;
     # only the wrong-kernel tests reach the guards.
-    Mutant("eigenspace-count", VFIELD, "if len(weights) != n:", "if False:", WRONG_KERNELS, 120),
-    Mutant(
-        "eigenbasis-rank",
-        VFIELD,
-        "if len(linalg.rref(basis)[1]) != n:",
-        "if False:",
-        WRONG_KERNELS,
-        120,
-    ),
+    Mutant("eigenspace-count", VFIELD, "if len(cols) != n:", "if False:", WRONG_KERNELS, 120),
+    Mutant("eigenbasis-rank", VFIELD, "if linalg.rank(cols) != n:", "if False:", WRONG_KERNELS, 120),
     Mutant(
         "eigen-equation",
         VFIELD,
-        "if linalg.mat_mul(a, basis) != ",
-        "if False and linalg.mat_mul(a, basis) != ",
+        "if linalg.int_mul(b, p) != ",
+        "if False and linalg.int_mul(b, p) != ",
         WRONG_KERNELS,
+        120,
+    ),
+    # The integer eigen-equation pairing each column with another column's
+    # eigenvalue.
+    Mutant(
+        "integer-eigen-equation",
+        VFIELD,
+        "[list(map(mul, row, eig)) for row in p]",
+        "[list(map(mul, row, sorted(eig))) for row in p]",
+        ("tests/test_degeneration.py",),
+        120,
+    ),
+    # The eigenvalues of B = D*v reported without dividing by D.
+    Mutant(
+        "eigenvalues-over-d",
+        VFIELD,
+        "tuple([Fraction(r, den) for r in eig])",
+        "tuple([Fraction(r) for r in eig])",
+        ("tests/test_degeneration.py", "-k", "scaled"),
+        120,
+    ),
+    # Every field taken for semisimple, so a Jordan block skips the split.
+    Mutant(
+        "integer-semisimplicity",
+        DEGENERATION,
+        "if not linalg.is_zero_matrix(linalg.int_poly_eval(q, b)):",
+        "if False:",
+        ("tests/test_degeneration.py", "-k", "nilpotent or jordan"),
+        120,
+    ),
+    # The squarefree factor of B's characteristic polynomial left with a
+    # leading coefficient of -1.
+    Mutant(
+        "monic-sign",
+        DEGENERATION,
+        "if q[-1] < 0:",
+        "if False:",
+        ("tests/test_degeneration.py",),
+        120,
+    ),
+    # Twice the gcd divided out, with the exact-division check removed.
+    Mutant(
+        "doubled-gcd",
+        LINALG,
+        ("g = poly_primitive_gcd(c, poly_derivative(c))", "if any(c):"),
+        ("g = [2 * x for x in poly_primitive_gcd(c, poly_derivative(c))]", "if False:"),
+        ("tests/test_linalg.py", "-k", "squarefree"),
         120,
     ),
     # Newton steps capped at ceil(log2 n) - 2: too few for a Jordan block of 8.
@@ -201,9 +245,20 @@ MUTANTS = (
 )
 
 
+def edits(m: Mutant) -> list:
+    """The row's (snippet, replacement) pairs, in the order they apply."""
+    if isinstance(m.snippet, tuple):
+        return list(zip(m.snippet, m.replacement))
+    return [(m.snippet, m.replacement)]
+
+
 def occurrences(m: Mutant, root: str = ROOT) -> int:
+    """1 when every snippet of the row occurs exactly once, else the count
+    of the first that does not."""
     with open(os.path.join(root, m.path), encoding="utf-8") as fh:
-        return fh.read().count(m.snippet)
+        text = fh.read()
+    counts = [text.count(snippet) for snippet, _ in edits(m)]
+    return next((c for c in counts if c != 1), 1)
 
 
 def copy_tree(dest: str) -> None:
@@ -231,14 +286,16 @@ def run_tests(tree: str, tests: tuple, limit: float) -> str:
 
 
 def check(m: Mutant, tree: str) -> str:
-    """Apply m in a fresh copy under tree and run its selection."""
+    """Apply m's edits in a fresh copy under tree and run its selection."""
     copy = os.path.join(tree, m.name)
     copy_tree(copy)
     path = os.path.join(copy, m.path)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
+    for snippet, replacement in edits(m):
+        text = text.replace(snippet, replacement)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text.replace(m.snippet, m.replacement))
+        fh.write(text)
     return run_tests(copy, m.tests, m.limit)
 
 
@@ -254,7 +311,8 @@ def main(argv=None) -> int:
     rows = [m for m in MUTANTS if not args.names or m.name in args.names]
     if args.list:
         for m in rows:
-            print(f"{m.name}: {m.path}: {m.snippet!r} -> {m.replacement!r}; {' '.join(m.tests)}")
+            changes = "; ".join(f"{a!r} -> {b!r}" for a, b in edits(m))
+            print(f"{m.name}: {m.path}: {changes}; {' '.join(m.tests)}")
         return 0
     misplaced = [m.name for m in rows if occurrences(m) != 1]
     if misplaced:

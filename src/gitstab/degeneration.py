@@ -45,8 +45,9 @@ from .vfield import (
     LinearVectorField,
     apply_derivation,
     chevalley_split,
-    rational_diagonalize,
-    substitute_linear,
+    diagonalize_integer,
+    integer_form,
+    substitute_integer,
 )
 from .weights import WeightVector, mu, weight_spectrum
 
@@ -172,19 +173,29 @@ def _eigenbasis(f: HPoly, v: LinearVectorField):
     """(eigenvalues, f in the eigenbasis, the basis) for a non-diagonal v, or
     the reason there is none as a message.  The caller raises it, so the
     traceback a kept DegenerationError carries ends in build_degeneration and
-    does not hold this frame's Chevalley split."""
-    psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))
-    semi, nil = chevalley_split(v, psf)
-    if apply_derivation(nil, f) is not None:
-        return "the nilpotent part of the field acts nontrivially on the polynomial"
-    diag = rational_diagonalize(semi, psf)
+    does not hold this frame's Chevalley split.  The work runs on B = D*v,
+    with v's eigenvectors and D times its eigenvalues, and on the monic
+    squarefree factor q of its characteristic polynomial; when q(B) != 0, v
+    is split over Fractions and its semisimple part scaled to integers."""
+    b, den = linalg.integer_matrix(v.rows)
+    q = linalg.int_squarefree(linalg.int_charpoly(b))
+    if q[-1] < 0:  # a primitive factor of a monic integer polynomial ends in +-1
+        q = [-c for c in q]
+    if not linalg.is_zero_matrix(linalg.int_poly_eval(q, b)):
+        k = len(q) - 1
+        psf = tuple([Fraction(c, den ** (k - i)) for i, c in enumerate(q)])
+        semi, nil = chevalley_split(v, psf)
+        if apply_derivation(nil, f) is not None:
+            return "the nilpotent part of the field acts nontrivially on the polynomial"
+        b, q, den = integer_form(semi.rows, psf)
+    diag = diagonalize_integer(b, q, den)
     if diag is None:
         return (
             "the semisimple part has irrational eigenvalues; "
             "its limit is not reachable in rational coordinates"
         )
-    eigvals, basis = diag
-    return eigvals, substitute_linear(f, basis), basis
+    eigvals, basis, p, pden = diag
+    return eigvals, substitute_integer(f, p, pden), basis
 
 
 def from_destabilizer(f: HPoly, lmbda: WeightVector) -> DegenerationReport:

@@ -1,39 +1,35 @@
 """Exact dense linear algebra over the rationals.
 
 Everything here is exact and deterministic; there are no tolerances
-anywhere.  The matrix kernels on the Chevalley and eigenbasis path are
-fraction-free.  `mat_mul`, `charpoly` and `poly_eval_matrix` scale each
-matrix to integers once (D*A, with D the lcm of its denominators), work on
-ints, and divide once per output entry at the end.  `rref` (and through it
-`nullspace`, `mat_inv` and the rank test `require_invertible`) eliminates
-on primitive integer rows and divides each pivot row by its pivot once at
-the end.  Their outputs are still Fractions, the same reduced values the
-Fraction arithmetic gives.  `mat_inv` serves the one caller that uses the
-inverse, the Newton step of the Chevalley split; a test of invertibility
-alone is `require_invertible`, which reduces a matrix by itself rather than
-beside the identity.
-Matrices are small (the ambient dimension is the number of coordinates,
-rarely above 8), so the quadratic and cubic algorithms below are perfectly
-adequate.
+anywhere.  The kernels run on integers and are named `int_*`: the product
+`int_mul`, Faddeev-LeVerrier `int_charpoly` and Horner `int_poly_eval` on
+integer matrices, the fraction-free Gauss-Jordan `int_echelon` (Bareiss
+1968) with `int_nullspace` and `rank` on it, and `int_squarefree`, whose gcd
+is a primitive remainder sequence (`poly_primitive_gcd`).  The degeneration
+path calls them directly on one `integer_matrix` per field and builds its
+Fractions once, at its end.  The Fraction entry points `mat_mul`,
+`charpoly`, `poly_eval_matrix`, `rref`, `nullspace` and `mat_inv` wrap
+them for their other callers: each scales its input to integers once
+(`integer_matrix`, or `clear_denominators` per row) and divides once per
+output entry, so its Fractions are the reduced values Fraction arithmetic
+gives.  `mat_inv` serves the Newton step of the Chevalley split, and
+`require_invertible` the bases that come from outside (`--basis`, the
+random sweep, `vfield.substitute_linear`); a certified eigenbasis needs
+neither.  Matrices are small (the ambient dimension is the number of
+coordinates, rarely above 8), so the cubic algorithms are adequate.
 
 `eliminate` is the Fraction Gauss-Jordan step of the simplex in `lp`: it
 touches only the pivot row's nonzero entries and only the rows with a
 nonzero entry in the pivot column.  Exact arithmetic makes that a pure saving:
 every value, and the order of pivots, is that of the dense loop.
 
-Matrices are represented as tuples of row tuples, vectors as tuples.  The
-module also carries the little univariate polynomial arithmetic needed for
-characteristic polynomials; coefficient sequences are ascending, so p[i] is
-the coefficient of x**i.  Its squarefree part runs on integers too: the gcd
-with the derivative by a primitive remainder sequence, one exact integer
-division, and one Fraction per coefficient to make the quotient monic.
-Integer vectors come from one pair of functions:
-`clear_denominators` (rationals to ints) and `primitive` (gcd removed).
-
-Star-arguments and the rows `rref` returns are built from lists, not
-generators.  CPython builds a tuple from a generator at a guessed size and
-shrinks it, and its per-size tuple free lists then keep each block; on the
-degeneration path that held about 0.4 MB of resident memory.
+Rational matrices are tuples of row tuples, integer ones row lists, and
+polynomial coefficient sequences are ascending, so p[i] is the coefficient
+of x**i.  Integer vectors come from `clear_denominators` (rationals to ints)
+and `primitive` (gcd removed).  Star-arguments and integer temporaries are
+built from lists: CPython builds a tuple from a generator at a guessed size
+and shrinks it, and its per-size tuple free lists then keep each block; on
+the degeneration path that held about 0.4 MB of resident memory.
 """
 
 from __future__ import annotations
@@ -78,20 +74,14 @@ def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_shift(a, c):
-    """a + c*I: c added on the diagonal, every other entry kept."""
-    c = frac(c)
-    return tuple(tuple(x + c if i == j else x for j, x in enumerate(r)) for i, r in enumerate(a))
-
-
 def mat_mul(a, b):
     """The product a*b, fraction-free: with Da and Db the lcms of the
     denominators of a and b, the integer product (Da*a)(Db*b) becomes one
     Fraction(x, Da*Db) per entry, the reduced value of the Fraction product."""
-    da, _, times = _integer_scaled(a)
-    db, ib, _ = _integer_scaled(b)
+    ia, da = integer_matrix(a)
+    ib, db = integer_matrix(b)
     d = da * db
-    return tuple(tuple(Fraction(x, d) for x in row) for row in times(ib))
+    return tuple([tuple([Fraction(x, d) for x in row]) for row in int_mul(ia, ib)])
 
 
 def is_zero_matrix(a) -> bool:
@@ -124,32 +114,18 @@ def eliminate(rows, pr: int, c: int) -> None:
                 row[j] -= f * y
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
-
-    Fraction-free Gauss-Jordan.  Each row becomes a primitive integer row
-    (`clear_denominators`, whose `frac` makes this the one place entries are
-    coerced, so malformed entries raise ValueError).  A pivot p in row P
-    clears column c of every other row R by R <- primitive(p*R - R[c]*P).
-    Every integer row is a nonzero multiple of the row the Fraction
-    elimination holds at that step, so the pivots are chosen as there (the
-    first nonzero entry at or below the current row), and each pivot row is
-    divided by its pivot once at the end.  The reduced row echelon form is
-    unique, so these are the same Fractions.
-
-    >>> red, pivots = rref([(1, 2, 3), (2, 4, 6), (1, 0, "1/2")])
-    >>> pivots
-    [0, 1]
-    >>> [[str(x) for x in row] for row in red]
-    [['1', '0', '1/2'], ['0', '1', '5/4'], ['0', '0', '0']]
+def int_echelon(rows):
+    """(m, pivots) for integer rows: m holds the pivot rows, then zero rows,
+    all primitive integer lists, and row i of m is a nonzero multiple of row
+    i of the reduced row echelon form.  A pivot p in row P clears column c
+    of every other row R by R <- primitive(p*R - R[c]*P), so each row is a
+    multiple of the one Fraction Gauss-Jordan holds and the pivots are
+    chosen as there (the first nonzero entry at or below the current row).
     """
-    m = [primitive(clear_denominators(r)[0]) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    m = [primitive(r) for r in rows]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0]) if m else 0):
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
@@ -164,9 +140,46 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    `int_echelon` on the rows scaled to integers by `clear_denominators`
+    (whose `frac` makes this the one place entries are coerced, so malformed
+    entries raise ValueError), then each pivot row divided by its pivot.
+    The reduced row echelon form is unique, so these are the Fractions that
+    Fraction Gauss-Jordan gives.
+
+    >>> red, pivots = rref([(1, 2, 3), (2, 4, 6), (1, 0, "1/2")])
+    >>> pivots
+    [0, 1]
+    >>> [[str(x) for x in row] for row in red]
+    [['1', '0', '1/2'], ['0', '1', '5/4'], ['0', '0', '0']]
+    """
+    m, pivots = int_echelon([clear_denominators(r)[0] for r in rows])
+    if not m:
+        return [], []
     zero = Fraction(0)
     red = [tuple([Fraction(x, row[c]) if x else zero for x in row]) for row, c in zip(m, pivots)]
-    return red + [(zero,) * ncols] * (len(m) - r), pivots
+    return red + [(zero,) * len(m[0])] * (len(m) - len(pivots)), pivots
+
+
+def int_nullspace(rows):
+    """(basis, den) for nonempty integer rows: den times each vector of
+    `nullspace`, as integer lists, with den the lcm of the pivots."""
+    m, pivots = int_echelon(rows)
+    den = lcm(*[row[c] for row, c in zip(m, pivots)])
+    basis = []
+    for fc in range(len(m[0])):
+        if fc not in pivots:
+            v = [0] * len(m[0])
+            v[fc] = den
+            for row, pc in zip(m, pivots):
+                v[pc] = -row[fc] * (den // row[pc])
+            basis.append(v)
+    return basis, den
 
 
 def nullspace(rows):
@@ -175,18 +188,8 @@ def nullspace(rows):
     Each basis vector carries a 1 in one free column; vectors are ordered by
     increasing free column index.
     """
-    rows = list(rows)
-    n_cols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+    basis, den = int_nullspace([clear_denominators(r)[0] for r in rows])
+    return [tuple([Fraction(x, den) for x in v]) for v in basis]
 
 
 def mat_inv(a):
@@ -198,52 +201,57 @@ def mat_inv(a):
     return tuple(tuple(red[i][n:]) for i in range(n))
 
 
+def rank(rows) -> int:
+    """The rank of an integer matrix: the pivot count of `int_echelon`."""
+    return len(int_echelon(rows)[1])
+
+
 def require_invertible(a):
-    """The square matrix a itself if its rank, the pivot count of `rref`, is
-    its size; ValueError("matrix is singular") otherwise."""
-    if len(rref(a)[1]) != len(a):
+    """The square rational matrix a itself if its `rank` is its size;
+    ValueError("matrix is singular") otherwise."""
+    if rank([clear_denominators(r)[0] for r in a]) != len(a):
         raise ValueError("matrix is singular")
     return a
 
 
-def _integer_scaled(a):
-    """(D, B, times) for a rational matrix a: D is the lcm of the
-    denominators of a, B = D*a as integer row lists, and times(m) the
-    integer product B*m of a row-list integer matrix m, as row lists."""
+def integer_matrix(a):
+    """(B, D) for a rational matrix a: D is the lcm of its denominators and
+    B = D*a, as integer row lists."""
     den = lcm(*[x.denominator for r in a for x in r])
-    b = [[x.numerator * (den // x.denominator) for x in r] for r in a]
-
-    def times(m):
-        cols = tuple(zip(*m))
-        return [[sum(map(mul, row, col)) for col in cols] for row in b]
-
-    return den, b, times
+    return [[x.numerator * (den // x.denominator) for x in r] for r in a], den
 
 
-def charpoly(a):
-    """Characteristic polynomial via the Faddeev-LeVerrier recurrence.
+def int_mul(a, b):
+    """The product of two integer matrices, as row lists."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
-    Returns ascending coefficients (c0, ..., c_{n-1}, 1) of det(xI - A).  The
-    recurrence runs fraction-free on the integer matrix B = D*A, with D the
-    lcm of the denominators of A: every M_k stays an integer matrix and each
-    division of a trace by k is exact (Bareiss 1968), so only the final
-    c_i = b_i / D^(n-i) touches Fractions.
-    """
-    n = len(a)
-    den, b, times = _integer_scaled(a)
+
+def int_charpoly(b):
+    """Ascending integer coefficients (c0, ..., c_{n-1}, 1) of det(xI - B)
+    for an integer matrix B, by the Faddeev-LeVerrier recurrence: every M_k
+    stays an integer matrix and each division of a trace by k is exact."""
+    n = len(b)
     m = [row[:] for row in b]  # shifted in place below; b must stay B
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    coeffs = [0] * n + [1]
     for k in range(1, n + 1):
         if k > 1:
             for i in range(n):
                 m[i][i] += coeffs[n - k + 1]
-            m = times(m)
+            m = int_mul(b, m)
         c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
         if rem:
             raise RuntimeError("Faddeev-LeVerrier trace must divide exactly over the integers")
         coeffs[n - k] = c
-    return tuple(Fraction(c, den ** (n - i)) for i, c in enumerate(coeffs))
+    return coeffs
+
+
+def charpoly(a):
+    """Characteristic polynomial: ascending coefficients (c0, ..., c_{n-1}, 1)
+    of det(xI - A).  With B = D*A the `integer_matrix` of A, c_i is the
+    coefficient b_i of `int_charpoly(B)` over D^(n-i)."""
+    b, den = integer_matrix(a)
+    return tuple([Fraction(c, den ** (len(b) - i)) for i, c in enumerate(int_charpoly(b))])
 
 
 # -- univariate polynomial helpers (ascending coefficient tuples) --
@@ -288,18 +296,17 @@ def poly_primitive_gcd(a, b):
     return a
 
 
-def poly_squarefree_part(p):
-    """p / gcd(p, p'), monic: the product of distinct irreducible factors.
+def int_squarefree(c):
+    """c / gcd(c, c') for integer coefficients c: the product of the distinct
+    irreducible factors of c, as a primitive integer list determined up to
+    sign.  With c made primitive and g = gcd(c, c') from
+    `poly_primitive_gcd`, the quotient has integer coefficients (Gauss's
+    lemma) and is divided out exactly.
 
-    On integers: with c the primitive integer multiple of p and g =
-    gcd(c, c') from `poly_primitive_gcd`, the quotient c / g has integer
-    coefficients (Gauss's lemma) and is divided out exactly, then made
-    monic by one Fraction per coefficient.
-
-    >>> [str(x) for x in poly_squarefree_part((2, -3, 0, 1))]  # (x-1)^2 (x+2)
-    ['-2', '1', '1']
+    >>> int_squarefree([2, -3, 0, 1])  # (x-1)^2 (x+2), whose part is -(x-1)(x+2)
+    [2, -1, -1]
     """
-    c = primitive(clear_denominators(poly_trim(p))[0])
+    c = primitive(poly_trim(c))
     if not c:
         raise ValueError("zero polynomial")
     g = poly_primitive_gcd(c, poly_derivative(c))
@@ -310,34 +317,38 @@ def poly_squarefree_part(p):
             c[i] -= q[k] * x
     if any(c):
         raise RuntimeError("gcd failed to divide exactly")
-    return tuple([Fraction(x, q[-1]) for x in q])
+    return q
+
+
+def int_poly_eval(e, b):
+    """e(B) for ascending integer coefficients e, the last nonzero, and an
+    integer matrix B, by Horner's rule on integers: M = e_m*I, then
+    M <- B*M + e_k*I for k = m-1, ..., 0."""
+    n = len(b)
+    *rest, lead = e
+    m = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in reversed(rest):
+        m = int_mul(b, m)
+        for i, row in enumerate(m):
+            row[i] += c
+    return m
 
 
 def poly_eval_matrix(p, a):
-    """p(a) by Horner's rule, fraction-free.
-
-    With D the lcm of the denominators of a and C that of p's coefficients,
-    Horner runs on the integer matrix B = D*a and the integers e_k = C*p[k]:
-    M = e_m*I, then M <- B*M + e_k*D^(m-k)*I for k = m-1, ..., 0, which
-    leaves M = C*D^m*p(a) (B*M = M*B, as M is a polynomial in B).  Each
-    entry becomes one Fraction at the end, so the result is the reduced
-    p(a), entry for entry.
+    """p(a), fraction-free: with B = D*a the `integer_matrix` of a and C the
+    lcm of the denominators of p's m+1 coefficients, `int_poly_eval` of the
+    integers C*p[k]*D^(m-k) at B is C*D^m*p(a).  Each entry becomes one
+    Fraction at the end, so the result is the reduced p(a), entry for entry.
     """
     p = poly_trim(p)
-    n = len(a)
     if not p:
-        return zero_matrix(n)
-    (*rest, lead), cden = clear_denominators(p)
-    den, _, times = _integer_scaled(a)
-    m = [[lead if i == j else 0 for j in range(n)] for i in range(n)]
-    scale = 1
-    for e in reversed(rest):
-        m = times(m)
-        scale *= den
-        for i, row in enumerate(m):
-            row[i] += e * scale
-    scale *= cden
-    return tuple(tuple(Fraction(x, scale) for x in row) for row in m)
+        return zero_matrix(len(a))
+    e, cden = clear_denominators(p)
+    b, den = integer_matrix(a)
+    deg = len(e) - 1
+    scale = cden * den**deg
+    m = int_poly_eval([x * den ** (deg - k) for k, x in enumerate(e)], b)
+    return tuple([tuple([Fraction(x, scale) for x in row]) for row in m])
 
 
 # -- integerization --

@@ -3,16 +3,17 @@
 A field v = sum_ij a_ij z_j d/dz_i is stored as its rational matrix (rows
 indexed by i, columns by j), so v sends the monomial z^gamma to
 sum_ij a_ij gamma_i z_j z^(gamma - e_i).  Diagonal fields act on monomials
-with eigenvalue <lambda, gamma>; the rest of the module is about reducing a
-general field to that case: the additive semisimple/nilpotent splitting over
-the rationals, exact diagonalization when the eigenvalues are rational
-(decided by integer p-adic root finding, with no external algebra system, and
-certified by rank and the eigen-equation A*P = P*D rather than by an
-inverse), and linear changes of coordinates on polynomials, expanded on
-integers with one Fraction per output term.  The splitting and the
-diagonalization take the squarefree characteristic factor from their caller,
-which computes it once per field.  `parse_matrix` is the one reader of n x n JSON matrices (a field,
-a basis); every malformed one is a ValueError.
+with eigenvalue <lambda, gamma>; the rest of the module reduces a general
+field to that case: the semisimple/nilpotent splitting over the rationals
+(Newton steps on Fractions), exact diagonalization when the eigenvalues are
+rational, on the integer matrix B = D*v (integer roots by p-adic root
+finding, fraction-free eigenspaces, a certificate by rank and B*P = P*R
+rather than an inverse, and Fractions built once at the end), and linear
+changes of coordinates, expanded on integers with one Fraction per output
+term; only a basis from outside gets `linalg.require_invertible`'s rank
+test, as a certified eigenbasis has passed one.  `parse_matrix` is the one
+reader of n x n JSON matrices (a field, a basis); every malformed one is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -217,7 +218,8 @@ def _squarefree_mod(c, p) -> bool:
 
 def _rational_roots(psf):
     """Roots of a squarefree rational polynomial in decreasing order, or None
-    if it does not split into linear factors over Q.
+    if it does not split into linear factors over Q; ints for a monic
+    integer polynomial.
 
     Exact p-adic root finding (Loos 1983).  With coprime integer coefficients
     c of degree k and leading coefficient a, q(y) = a^(k-1) c(y/a) is
@@ -254,61 +256,88 @@ def _rational_roots(psf):
         y = r - m if 2 * r > m else r
         if _horner(q, y):
             return None
-        roots.append(Fraction(y, a))
-    return sorted(roots, reverse=True)
+        roots.append(y)
+    return sorted(roots if a == 1 else [Fraction(y, a) for y in roots], reverse=True)
+
+
+def diagonalize_integer(b, q, den: int):
+    """(weights, basis, P, L) diagonalizing the rational matrix B/den, for an
+    integer matrix B and the monic integer squarefree q with q(B) = 0, or
+    None when q has an irrational root (unsupported here, not an error).
+
+    The eigenspaces are the `int_nullspace`s of B - rI for the integer roots
+    r of q.  The columns of the integer matrix P are L times the eigenbasis,
+    by decreasing eigenvalue; the weights r/den and the basis P/L are their
+    Fractions.  P is certified without an inverse: the eigenspace dimensions
+    sum to n, P has `linalg.rank` n, and B*P = P*R, which with rank n is
+    P^-1*B*P = R (R the r on the diagonal).  A failed check is a
+    RuntimeError: B is not semisimple, or a kernel is wrong.
+    """
+    n = len(b)
+    roots = _rational_roots(q)
+    if roots is None:
+        return None
+    spaces = []
+    for r in roots:
+        shifted = [[x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(b)]
+        spaces.append((r, *linalg.int_nullspace(shifted)))
+    pden = lcm(*[d for _, _, d in spaces])
+    cols = [[x * (pden // d) for x in v] for _, vs, d in spaces for v in vs]
+    eig = [r for r, vs, _ in spaces for _ in vs]
+    if len(cols) != n:
+        raise RuntimeError("eigenspace dimensions must sum to the ambient dimension")
+    if linalg.rank(cols) != n:
+        raise RuntimeError("eigenbasis must have full rank")
+    p = [list(row) for row in zip(*cols)]
+    if linalg.int_mul(b, p) != [list(map(mul, row, eig)) for row in p]:
+        raise RuntimeError("eigenbasis must diagonalize")
+    weights = WeightVector(tuple([Fraction(r, den) for r in eig]))
+    return weights, tuple([tuple([Fraction(x, pden) for x in row]) for row in p]), p, pden
+
+
+def integer_form(rows, psf):
+    """(B, q, D): B = D*rows, the `linalg.integer_matrix`, and q(x) =
+    D^k psf(x/D) for the monic squarefree factor psf of degree k.  B's
+    rational eigenvalues are integers, so q must have integer coefficients.
+    """
+    b, den = linalg.integer_matrix(rows)
+    k = len(psf) - 1
+    q, qden = linalg.clear_denominators([c * den ** (k - i) for i, c in enumerate(psf)])
+    if qden != 1 or q[-1] != 1:
+        raise RuntimeError("the squarefree factor must scale to a monic integer polynomial")
+    return b, q, den
 
 
 def rational_diagonalize(v: LinearVectorField, psf: tuple):
     """Diagonalize a semisimple field over Q, if its eigenvalues are rational.
 
-    psf is the squarefree characteristic factor with psf(v) = 0 (v is the
-    semisimple part from chevalley_split).  Returns (weights, basis_matrix)
-    with basis_matrix columns an eigenbasis ordered by decreasing eigenvalue,
-    or None when psf has an irrational factor (the field is then unsupported
-    here, not an error).
-
-    Three checks certify the returned P without inverting it: the eigenspace
-    dimensions sum to n, P has rank n (its pivot count in `linalg.rref`),
-    and A*P = P*D, with P*D the columns of P scaled by their eigenvalues.
-    Rank n makes P invertible, and then A*P = P*D is exactly P^-1*A*P = D.
-    A failed check raises RuntimeError: v is not semisimple, or a kernel is
-    wrong.
+    psf is the squarefree characteristic factor with psf(v) = 0.  Returns
+    (weights, basis_matrix), the columns an eigenbasis ordered by decreasing
+    eigenvalue, or None when psf has an irrational factor: the answer of
+    `diagonalize_integer` on the `integer_form` of v and psf.
     """
-    a = v.rows
-    n = v.n
-    roots = _rational_roots(psf)
-    if roots is None:
-        return None
-    cols = []
-    weights = []
-    for r in roots:
-        for b in linalg.nullspace(linalg.mat_shift(a, -r)):
-            cols.append(b)
-            weights.append(r)
-    if len(weights) != n:
-        raise RuntimeError("eigenspace dimensions must sum to the ambient dimension")
-    basis = tuple(zip(*cols))
-    if len(linalg.rref(basis)[1]) != n:
-        raise RuntimeError("eigenbasis must have full rank")
-    if linalg.mat_mul(a, basis) != tuple(tuple(map(mul, row, weights)) for row in basis):
-        raise RuntimeError("eigenbasis must diagonalize")
-    return WeightVector(tuple(weights)), basis
+    found = diagonalize_integer(*integer_form(v.rows, psf))
+    return None if found is None else found[:2]
 
 
 def substitute_linear(f: HPoly, basis) -> HPoly:
-    """Pull f back along the invertible substitution z_i -> sum_j P[i][j] z_j.
-
-    The expansion runs on integers: with D the lcm of the denominators of P
-    and C that of f's coefficients, C*f is expanded along the integer
-    substitution D*P, which gives C*D^d times the result (f has degree d), so
-    each output term is one Fraction(x, C*D^d), its reduced coefficient.
-    A singular P is refused by `linalg.require_invertible`'s rank test.
-    """
+    """Pull f back along the invertible substitution z_i -> sum_j P[i][j] z_j,
+    after `linalg.require_invertible`'s rank test."""
     p = linalg.mat(basis)
     n = f.n_vars
     rows, cols = len(p), len(p[0]) if p else 0  # `mat` refuses ragged rows
     if (rows, cols) != (n, n):
         raise ValueError(f"basis matrix is {rows}x{cols}, expected {n}x{n}")
+    return substitute_integer(f, *linalg.integer_matrix(linalg.require_invertible(p)))
+
+
+def substitute_integer(f: HPoly, p, den: int) -> HPoly:
+    """f pulled back along z -> (P/den) z, for an invertible integer matrix P.
+    With C the lcm of the denominators of f, C*f is expanded along P on
+    integers, giving C*den^d times the result (f has degree d), so each
+    output term is one reduced Fraction(x, C*den^d).
+    """
+    n = f.n_vars
     # Coefficient products of the expansion below for a dense basis: the
     # powers of the linear forms, then each monomial's partial products.  The
     # power e of a linear form has size(e) terms.
@@ -322,14 +351,12 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
             f"substitution needs about {work} coefficient products, "
             f"above the {MAX_SUBSTITUTION_WORK} limit"
         )
-    linalg.require_invertible(p)
-    ints, den = linalg.clear_denominators([x for row in p for x in row])
     coeffs, scale = linalg.clear_denominators(f.terms.values())
     zero_mono = tuple([0] * n)
     units = [tuple([int(k == j) for k in range(n)]) for j in range(n)]
     powers = []
-    for i in range(n):
-        form = {units[j]: x for j, x in enumerate(ints[i * n : (i + 1) * n]) if x}
+    for i, row in enumerate(p):
+        form = {units[j]: x for j, x in enumerate(row) if x}
         pw = [{zero_mono: 1}]
         for _ in range(max_exp[i]):
             pw.append(_mul_maps(pw[-1], form))

@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from gitstab.poly import HPoly, parse_poly
@@ -291,8 +292,8 @@ def fraction_substitute_linear(f: HPoly, basis) -> HPoly:
 
 def fraction_squarefree_part(p):
     """p / gcd(p, p'), monic, by Euclid's algorithm and long division over
-    Fractions: the plain reference for linalg.poly_squarefree_part, which
-    takes the gcd by an integer primitive remainder sequence."""
+    Fractions: the plain reference for linalg.int_squarefree, which takes
+    the gcd by an integer primitive remainder sequence."""
 
     def trim(a):
         a = list(a)
@@ -320,3 +321,69 @@ def fraction_squarefree_part(p):
     if r:
         raise RuntimeError("gcd failed to divide exactly")
     return tuple(c / q[-1] for c in q)
+
+
+def fraction_charpoly(a):
+    """Faddeev-LeVerrier over Fractions: the plain reference for
+    linalg.charpoly and linalg.int_charpoly, which run it on integers."""
+    n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [row[:] for row in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            c = coeffs[n - k + 1]
+            shifted = [[m[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+            m = [
+                [sum(a[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        coeffs[n - k] = -sum(m[i][i] for i in range(n)) / k
+    return tuple(coeffs)
+
+
+def squarefree_part(p):
+    """The monic squarefree part of a rational polynomial, from
+    linalg.int_squarefree: the factor chevalley_split and
+    rational_diagonalize take from their caller."""
+    from gitstab import linalg
+
+    q = linalg.int_squarefree(linalg.clear_denominators(p)[0])
+    return tuple(Fraction(x, q[-1]) for x in q)
+
+
+def _integer_multiple(values):
+    """A rational vector times the lcm of its denominators, as ints."""
+    den = lcm(*(Fraction(x).denominator for x in values))
+    return [int(x * den) for x in values]
+
+
+def _fraction_int_echelon(rows):
+    red, pivots = fraction_rref(rows)
+    return [_integer_multiple(r) for r in red], pivots
+
+
+def _fraction_int_nullspace(rows):
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(0)] * len(rows[0])
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    den = lcm(*(x.denominator for v in basis for x in v))
+    return [[int(x * den) for x in v] for v in basis], den
+
+
+# linalg's integer kernels, each computed by its Fraction reference and
+# scaled back to integers: the same values up to the positive row, vector or
+# polynomial multiples their contracts leave open.
+FRACTION_INTEGER_KERNELS = {
+    "int_mul": lambda a, b: [list(map(int, r)) for r in fraction_mat_mul(a, b)],
+    "int_charpoly": lambda b: list(map(int, fraction_charpoly(b))),
+    "int_poly_eval": lambda e, b: [list(map(int, r)) for r in fraction_horner(e, b)],
+    "int_echelon": _fraction_int_echelon,
+    "int_nullspace": _fraction_int_nullspace,
+    "int_squarefree": lambda c: _integer_multiple(fraction_squarefree_part(c)),
+}

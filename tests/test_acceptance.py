@@ -27,7 +27,6 @@ from gitstab.linalg import (
     mat_mul,
     mat_sub,
     poly_eval_matrix,
-    poly_squarefree_part,
 )
 from gitstab.poly import HPoly, parse_poly, print_poly
 from gitstab.stability import (
@@ -52,6 +51,7 @@ from helpers import (
     random_matrix,
     random_trace_zero_ints,
     random_weights,
+    squarefree_part,
 )
 
 UNSTABLE_CUBIC = "z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3"
@@ -233,11 +233,11 @@ def _suite_chevalley_postconditions():
             p = random_invertible(rng, n, 2)
             a = mat_mul(mat_inv(p), mat_mul(tuple(tuple(r) for r in tri), p))
         v = LinearVectorField(a)
-        semi, nil = chevalley_split(v, poly_squarefree_part(charpoly(v.rows)))
+        semi, nil = chevalley_split(v, squarefree_part(charpoly(v.rows)))
         assert mat_sub(v.rows, nil.rows) == semi.rows
         assert mat_mul(semi.rows, nil.rows) == mat_mul(nil.rows, semi.rows)
         assert nil.is_nilpotent()
-        reduced = poly_squarefree_part(charpoly(semi.rows))
+        reduced = squarefree_part(charpoly(semi.rows))
         assert is_zero_matrix(poly_eval_matrix(reduced, semi.rows))
 
 

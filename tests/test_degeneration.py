@@ -18,9 +18,10 @@ from gitstab.degeneration import (
     theorem_crosscheck,
 )
 from gitstab.futaki import FutakiValue
+from gitstab.poly import HPoly
 from gitstab.vfield import LinearVectorField, substitute_linear
 from gitstab.weights import WeightVector, limit_poly, weight_spectrum
-from helpers import hp, random_hpoly, random_trace_zero_ints
+from helpers import hp, random_hpoly, random_invertible, random_trace_zero_ints
 
 UNSTABLE_CUBIC = "z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3"
 FERMAT = "z0^3 + z1^3 + z2^3 + z3^3"
@@ -175,11 +176,105 @@ def test_swap_field_goes_through_an_eigenbasis():
     assert rep.futaki.value == Fraction(8, 3)
 
 
+def _field_case(rng: Random, i: int):
+    """(f, v, kind) for a seeded non-diagonal field v = P^-1 C P and f = g(Pz),
+    so v acts on f as C acts on g.  C is diagonal with small rational
+    eigenvalues, denominators included, the second above the first (so C is
+    never scalar) and the last equal to the first on odd cases from n = 3.
+    Every third case adds z1 d/dz0 on a repeated eigenvalue and g does not
+    involve z0, so v's nilpotent part fixes f; every fifth other case has a
+    companion block of x^2 - 2 instead."""
+    n = 2 + i % 4
+    eigs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+    eigs[1] = eigs[0] + Fraction(1, rng.choice((1, 2)))
+    if i % 2 and n > 2:
+        eigs[-1] = eigs[0]
+    core = [[eigs[r] if r == c else Fraction(0) for c in range(n)] for r in range(n)]
+    kind, used = "semisimple", range(n)
+    if i % 3 == 0:
+        kind, used = "nilpotent", range(1, n)
+        core[1][1], core[0][1] = core[0][0], Fraction(1)
+    elif i % 5 == 0:
+        kind = "irrational"
+        core[0][0], core[0][1], core[1][0], core[1][1] = 0, 1, 2, 0
+    terms = {}
+    for _ in range(4):
+        mono = [0] * n
+        for _ in range(3):
+            mono[rng.choice(used)] += 1
+        terms[tuple(mono)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5))
+    while True:
+        p = random_invertible(rng, n, 1)
+        v = LinearVectorField(linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(core, p)))
+        if not v.is_diagonal:
+            return substitute_linear(HPoly(n, terms), p), v, kind
+
+
+def test_scaled_field_gives_the_same_family():
+    # c*v has v's eigenbasis and c times its eigenvalues, so the rewritten
+    # form, the basis and the special fibre stay, and the generator scales.
+    rng = Random(1968)
+    seen = set()
+    for i in range(100):
+        f, v, kind = _field_case(rng, i)
+        scaled = {c: LinearVectorField([[c * x for x in row] for row in v.rows])
+                  for c in (Fraction(2), Fraction(1, 3), Fraction(6))}
+        try:
+            rep = build_degeneration(f, v)
+        except DegenerationError as exc:
+            seen.add(f"{kind} refused")
+            for w in scaled.values():
+                with pytest.raises(DegenerationError) as caught:
+                    build_degeneration(f, w)
+                assert str(caught.value) == str(exc)
+            continue
+        seen.add(kind)
+        if any(x.denominator != 1 for row in v.rows for x in row):
+            seen.add("denominators")
+        if len(set(rep.family.generator)) < f.n_vars:
+            seen.add("repeated eigenvalue")
+        for c, w in scaled.items():
+            got = build_degeneration(f, w)
+            assert got.basis_change == rep.basis_change
+            assert got.family.base_poly == rep.family.base_poly
+            assert got.special_fiber == rep.special_fiber
+            assert got.family.generator == rep.family.generator.scaled(c)
+    assert seen >= {"semisimple", "nilpotent", "irrational refused", "denominators",
+                    "repeated eigenvalue"}
+
+
+def test_each_eigenbasis_gets_one_rank_test(monkeypatch, capsys):
+    # The certificate's rank test is the only one: the substitution trusts
+    # the certified basis.  A basis from the command line keeps its own.
+    sizes = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: sizes.append(len(rows)) or rank(rows))
+    assert build_degeneration(hp(FERMAT, 4), LinearVectorField(SWAP)).basis_change is not None
+    jordan = LinearVectorField([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -2]])
+    assert build_degeneration(hp("z1^3 + z2^3 + z3^3", 4), jordan).basis_change is not None
+    assert sizes == [4, 4]
+    singular = "[[1,1,0,0],[1,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    assert main(["stability", "-f", FERMAT, "--basis", singular]) == 2
+    assert capsys.readouterr().err == "error: matrix is singular\n"
+
+
 SWAP = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
 
 
 def _repeat_first(basis):
     return [basis[0]] * len(basis)
+
+
+def _feed_wrong_eigenspaces(monkeypatch, wrong):
+    """Make every eigenspace kernel return wrong(its basis), with its
+    denominator kept."""
+    real = linalg.int_nullspace
+
+    def kernel(rows):
+        basis, den = real(rows)
+        return wrong(basis), den
+
+    monkeypatch.setattr(linalg, "int_nullspace", kernel)
 
 
 @pytest.mark.parametrize(
@@ -198,15 +293,13 @@ def _repeat_first(basis):
     ids=["not-an-eigenvector", "duplicated-column", "extra-column"],
 )
 def test_a_wrong_eigenspace_kernel_ends_in_runtime_error(monkeypatch, wrong, message):
-    real = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda rows: wrong(real(rows)))
+    _feed_wrong_eigenspaces(monkeypatch, wrong)
     with pytest.raises(RuntimeError, match=message):
         build_degeneration(hp(FERMAT, 4), LinearVectorField(SWAP))
 
 
 def test_a_singular_eigenbasis_is_an_internal_error(monkeypatch, capsys):
-    real = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda rows: _repeat_first(real(rows)))
+    _feed_wrong_eigenspaces(monkeypatch, _repeat_first)
     assert main(["degenerate", "-f", FERMAT, "--field", json.dumps(SWAP)]) == 6
     assert capsys.readouterr().err == "internal error: eigenbasis must have full rank\n"
 
@@ -219,8 +312,8 @@ def test_a_singular_eigenbasis_is_an_internal_error(monkeypatch, capsys):
 def test_a_wrong_squarefree_factor_ends_in_runtime_error(monkeypatch, psf):
     # The swap field's factor is x^3 - x; either wrong one leaves fewer than
     # four eigenvectors.
-    real = degeneration.rational_diagonalize
-    monkeypatch.setattr(degeneration, "rational_diagonalize", lambda v, _: real(v, psf))
+    real = degeneration.diagonalize_integer
+    monkeypatch.setattr(degeneration, "diagonalize_integer", lambda b, _, den: real(b, psf, den))
     with pytest.raises(RuntimeError, match="must sum to the ambient dimension"):
         build_degeneration(hp(FERMAT, 4), LinearVectorField(SWAP))
 

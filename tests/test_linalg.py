@@ -8,12 +8,15 @@ import pytest
 
 from gitstab import linalg
 from helpers import (
+    FRACTION_INTEGER_KERNELS,
+    fraction_charpoly,
     fraction_mat_mul,
     fraction_rref,
     fraction_squarefree_part,
     random_invertible,
     random_matrix,
     run_python,
+    squarefree_part,
 )
 
 
@@ -149,10 +152,9 @@ def test_wrong_multiplier_ends_gcd_in_runtime_error():
 
 def test_squarefree_part():
     # p = (x-1)^2 * (x+1) = x^3 - x^2 - x + 1
-    p = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(1))
-    sf = linalg.poly_squarefree_part(p)
-    # (x-1)(x+1) = x^2 - 1
-    assert sf == (Fraction(-1), Fraction(0), Fraction(1))
+    sf = linalg.int_squarefree([1, -1, -1, 1])
+    # (x-1)(x+1) = x^2 - 1, up to sign
+    assert sf in ([-1, 0, 1], [1, 0, -1])
 
 
 def _squarefree_case(rng: Random, case: int):
@@ -195,7 +197,7 @@ def test_squarefree_part_matches_fraction_reference():
     seen = set()
     for case in range(320):
         p, part, factors = _squarefree_case(rng, case)
-        got = linalg.poly_squarefree_part(p)
+        got = squarefree_part(p)
         assert got == fraction_squarefree_part(p) == part
         assert all(type(x) is Fraction for x in got)
         seen.update((f"degree {len(p) - 1}", f"multiplicity {max(factors.values())}"))
@@ -206,7 +208,7 @@ def test_squarefree_part_matches_fraction_reference():
     want = {f"degree {d}" for d in range(1, 9)} | {f"multiplicity {m}" for m in range(1, 5)}
     assert seen >= want | {"past 2**64", "quadratic factor"}
     with pytest.raises(ValueError, match="zero polynomial"):
-        linalg.poly_squarefree_part((Fraction(0),))
+        linalg.int_squarefree([0])
 
 
 def test_primitive_integer_vector():
@@ -227,24 +229,6 @@ def test_clear_denominators():
     assert mult == 6 and ints == [3, 4]
 
 
-def _charpoly_fraction_reference(a):
-    """Faddeev-LeVerrier over Fractions, written independently of linalg."""
-    n = len(a)
-    a = [[Fraction(x) for x in row] for row in a]
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = [row[:] for row in a]
-    for k in range(1, n + 1):
-        if k > 1:
-            c = coeffs[n - k + 1]
-            shifted = [[m[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-            m = [
-                [sum(a[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        coeffs[n - k] = -sum(m[i][i] for i in range(n)) / k
-    return tuple(coeffs)
-
-
 def test_charpoly_matches_fraction_reference():
     rng = Random(2024)
     for case in range(300):
@@ -257,11 +241,11 @@ def test_charpoly_matches_fraction_reference():
                 for _ in range(n)
             )
         got = linalg.charpoly(a)
-        assert got == _charpoly_fraction_reference(a)
+        assert got == fraction_charpoly(a)
         assert all(type(c) is Fraction for c in got)
     for n in range(1, 9):
         zero = linalg.zero_matrix(n)
-        assert linalg.charpoly(zero) == _charpoly_fraction_reference(zero)
+        assert linalg.charpoly(zero) == fraction_charpoly(zero)
         assert linalg.charpoly(zero) == (Fraction(0),) * n + (Fraction(1),)
 
 
@@ -434,6 +418,8 @@ def test_fraction_free_kernels_match_fraction_references(monkeypatch):
                 got_inv = str(exc)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "rref", fraction_rref)
+            for name, reference in FRACTION_INTEGER_KERNELS.items():
+                patch.setattr(linalg, name, reference)
             assert got_null == linalg.nullspace(rows)
             if n_rows == n_cols:
                 try:

@@ -21,10 +21,10 @@ from gitstab.vfield import (
     substitute_linear,
 )
 from helpers import (
+    FRACTION_INTEGER_KERNELS,
     fraction_horner,
     fraction_mat_mul,
     fraction_rref,
-    fraction_squarefree_part,
     fraction_substitute_linear,
     hp,
     naive_derivation,
@@ -35,6 +35,7 @@ from helpers import (
     random_matrix,
     random_weights,
     run_python,
+    squarefree_part,
 )
 
 
@@ -169,7 +170,7 @@ def _random_interesting_matrix(rng: Random, n: int):
 
 def _psf(v):
     """The squarefree characteristic factor that callers pass in."""
-    return linalg.poly_squarefree_part(linalg.charpoly(v.rows))
+    return squarefree_part(linalg.charpoly(v.rows))
 
 
 def test_chevalley_postconditions_and_uniqueness():
@@ -221,7 +222,7 @@ def test_wrong_inverse_ends_newton_in_runtime_error():
     code = (
         "from gitstab import linalg, vfield\n"
         "v = vfield.LinearVectorField([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]])\n"
-        "psf = linalg.poly_squarefree_part(linalg.charpoly(v.rows))\n"
+        "psf = (-2, -1, 1)  # (x - 2)(x + 1)\n"
         "inverse = linalg.mat_inv\n"
         "linalg.mat_inv = lambda a: tuple(zip(*inverse(a)))\n"
         "try:\n"
@@ -292,13 +293,13 @@ def test_build_degeneration_computes_one_charpoly_per_field(monkeypatch):
     from gitstab import degeneration
 
     calls = []
-    charpoly = linalg.charpoly
+    charpoly = linalg.int_charpoly
 
     def counting(a):
         calls.append(a)
         return charpoly(a)
 
-    monkeypatch.setattr(linalg, "charpoly", counting)
+    monkeypatch.setattr(linalg, "int_charpoly", counting)
     fermat = parse_poly("z0^3 + z1^3 + z2^3 + z3^3", 4)
     swap = LinearVectorField(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
@@ -355,14 +356,20 @@ def _split_and_degeneration(f, v):
 
 def _fraction_pipeline(patch):
     """Swap every integer kernel of the degeneration path for its plain
-    Fraction reference."""
+    Fraction reference: the Fraction entry points of linalg, its integer
+    kernels, and the substitution."""
     from gitstab import degeneration
 
     patch.setattr(linalg, "poly_eval_matrix", fraction_horner)
     patch.setattr(linalg, "mat_mul", fraction_mat_mul)
     patch.setattr(linalg, "rref", fraction_rref)
-    patch.setattr(linalg, "poly_squarefree_part", fraction_squarefree_part)
-    patch.setattr(degeneration, "substitute_linear", fraction_substitute_linear)
+    for name, reference in FRACTION_INTEGER_KERNELS.items():
+        patch.setattr(linalg, name, reference)
+
+    def substitute(f, p, den):
+        return fraction_substitute_linear(f, [[Fraction(x, den) for x in row] for row in p])
+
+    patch.setattr(degeneration, "substitute_integer", substitute)
 
 
 def test_fraction_free_evaluation_leaves_split_and_degeneration_unchanged(monkeypatch):
@@ -495,7 +502,7 @@ def test_rational_roots_against_sympy():
         else:
             p = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(k))
             p += (Fraction(1),)
-        psf = linalg.poly_squarefree_part(p)
+        psf = squarefree_part(p)
         ints, _ = linalg.clear_denominators(psf)
         _, factors = sympy.Poly(list(reversed(ints)), x, domain="QQ").factor_list()
         if all(fac.degree() == 1 for fac, _ in factors):
