@@ -109,9 +109,55 @@ MUTANTS = (
     Mutant(
         "newton-cap",
         VFIELD,
-        "range((v.n - 1).bit_length() + 2)",
-        "range((v.n - 1).bit_length() - 2)",
+        "range((n - 1).bit_length() + 2)",
+        "range((n - 1).bit_length() - 2)",
         ("tests/test_vfield.py::test_chevalley_splits_three_jordan_blocks_of_size_eight",),
+        120,
+    ),
+    # The Newton update x <- x - q(x) q'(x)^-1 with its sign flipped, and
+    # with the denominator e left unscaled.
+    Mutant(
+        "newton-update-sign",
+        VFIELD,
+        "[[den * x - y for x, y in zip(rm, rs)]",
+        "[[den * x + y for x, y in zip(rm, rs)]",
+        ("tests/test_vfield.py", "-k", "chevalley"),
+        120,
+    ),
+    Mutant(
+        "newton-update-scale",
+        VFIELD,
+        "e * den // g",
+        "e // g",
+        ("tests/test_vfield.py", "-k", "chevalley"),
+        120,
+    ),
+    # The split's integer certificate, one check at a time; only a wrong
+    # factor or a wrong inverse reaches them.
+    Mutant(
+        "split-commute",
+        VFIELD,
+        "if linalg.int_mul(m, nil) != linalg.int_mul(nil, m):",
+        "if False:",
+        ("tests/test_vfield.py", "-k", "wrong"),
+        120,
+    ),
+    Mutant(
+        "split-nilpotent",
+        VFIELD,
+        "if not linalg.is_zero_matrix(power):",
+        "if False:",
+        ("tests/test_vfield.py", "-k", "wrong"),
+        120,
+    ),
+    # The nilpotent part's action on f never tested, so a field whose
+    # nilpotent part moves f is degenerated along its semisimple part.
+    Mutant(
+        "nilpotent-moves-f",
+        DEGENERATION,
+        "if any(derive(nil, zip(f.terms, coeffs)).values()):",
+        "if False:",
+        ("tests/test_degeneration.py", "-k", "nilpotent"),
         120,
     ),
     # Pseudo-division by b_lead instead of b_lead / gcd(a_lead, b_lead).
@@ -141,13 +187,13 @@ MUTANTS = (
         ("tests/test_vfield.py::test_substitute_linear_matches_fraction_reference",),
         120,
     ),
-    # Each rref pivot row divided by the pivot's absolute value.
+    # Each row of the inverse scaled by L over the pivot's absolute value.
     Mutant(
-        "rref-abs-pivot",
+        "inverse-abs-pivot",
         LINALG,
-        "Fraction(x, row[c]) if x else zero",
-        "Fraction(x, abs(row[c])) if x else zero",
-        ("tests/test_linalg.py", "-k", "rref or fraction_free"),
+        "x * (den // row[i])",
+        "x * (den // abs(row[i]))",
+        ("tests/test_linalg.py", "-k", "inverse or fraction_free"),
         120,
     ),
     # Weight dots without the lcm of the weights' denominators.

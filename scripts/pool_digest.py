@@ -4,6 +4,7 @@ same answers on every pooled input.
 
     python3 scripts/pool_digest.py                  # all three pools
     python3 scripts/pool_digest.py degenerate       # only the named ones
+    python3 scripts/pool_digest.py --check          # compare with the pins
 
 The pools are those of `perfbench/inputs.py`, read and never changed:
 
@@ -16,6 +17,11 @@ The pools are those of `perfbench/inputs.py`, read and never changed:
 Each digest is the first 16 hex digits of sha256 over
 `json.dumps(out, sort_keys=True)` of every answer in pool order.  The
 program is imported from the checkout's `src/`.
+
+`pool_digest.json`, beside this script, pins the digest of every pool.
+With `--check` the script exits 1 when a computed digest differs from its
+pin and names each one that does.  A change that means to alter answers
+re-pins the values in the same commit and names the changed answers.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PINNED = Path(__file__).resolve().with_name("pool_digest.json")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from gitstab import degeneration, lp, stability  # noqa: E402
@@ -82,13 +89,23 @@ def pool_digest(workload: str) -> tuple:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workloads", nargs="*", help=f"pools among {', '.join(ANSWERS)} (default: all)")
+    ap.add_argument("--check", action="store_true", help=f"exit 1 unless every digest equals its pin in {PINNED.name}")
     args = ap.parse_args(argv)
     unknown = [w for w in args.workloads if w not in ANSWERS]
     if unknown:
         ap.error(f"unknown pool(s): {', '.join(unknown)}")
+    pinned = json.loads(PINNED.read_text(encoding="utf-8")) if args.check else {}
+    differs = []
     for workload in args.workloads or ANSWERS:
         count, digest = pool_digest(workload)
-        print(f"{workload}: {digest} over {count} inputs", flush=True)
+        line = f"{workload}: {digest} over {count} inputs"
+        if args.check and digest != pinned.get(workload):
+            differs.append(workload)
+            line += f" (pinned {pinned.get(workload)})"
+        print(line, flush=True)
+    if differs:
+        print(f"digest differs from its pin: {', '.join(differs)}")
+        return 1
     return 0
 
 

@@ -24,10 +24,10 @@ from . import lp
 from .degeneration import build_degeneration, from_destabilizer, theorem_crosscheck
 from .futaki import futaki_of_limit
 from .lazylog import configure_on_first_use
-from .linalg import frac, require_invertible
+from .linalg import frac, integer_matrix, require_invertible
 from .poly import HPoly, infer_n_vars, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, classify_torus
-from .vfield import parse_field, parse_matrix, substitute_linear
+from .vfield import parse_field, parse_matrix, substitute_integer
 from .weights import WeightVector, weight_spectrum
 
 EXIT_OK = 0
@@ -129,7 +129,9 @@ def _classify_with_bases(args, f: HPoly):
     keeping the strongest instability found (verdict exit codes 0 < 3 < 4
     rank stable, weakly stable and not weakly stable).  Every `--basis` is
     validated first; the random ones are drawn as they are tried, and none
-    is tried once the verdict is not weakly stable."""
+    is tried once the verdict is not weakly stable.  Each basis has passed
+    `require_invertible` when it is parsed or drawn, so it is substituted
+    without a second rank test."""
     best = (classify_torus(f), "given")
     explicit = [_parse_basis(text, f.n_vars) for text in args.basis or []]
     rng = Random(args.seed)
@@ -140,7 +142,7 @@ def _classify_with_bases(args, f: HPoly):
         if basis is None:
             break
         tried += 1
-        verdict = classify_torus(substitute_linear(f, basis))
+        verdict = classify_torus(substitute_integer(f, *integer_matrix(basis)))
         if verdict.exit_code > best[0].exit_code:
             best = (verdict, basis)
     return best, tried

@@ -43,10 +43,9 @@ from .poly import HPoly, print_poly
 from .record import record
 from .vfield import (
     LinearVectorField,
-    apply_derivation,
     chevalley_split,
+    derive,
     diagonalize_integer,
-    integer_form,
     substitute_integer,
 )
 from .weights import WeightVector, mu, weight_spectrum
@@ -175,19 +174,21 @@ def _eigenbasis(f: HPoly, v: LinearVectorField):
     traceback a kept DegenerationError carries ends in build_degeneration and
     does not hold this frame's Chevalley split.  The work runs on B = D*v,
     with v's eigenvectors and D times its eigenvalues, and on the monic
-    squarefree factor q of its characteristic polynomial; when q(B) != 0, v
-    is split over Fractions and its semisimple part scaled to integers."""
+    squarefree factor q of its characteristic polynomial.  When q(B) != 0,
+    B is split into (M + N)/e on integers; N must annihilate f, whose
+    coefficients are scaled to integers for the test, and the semisimple
+    part goes on as M, its factor e^k q(x/e) and the denominator D*e."""
     b, den = linalg.integer_matrix(v.rows)
     q = linalg.int_squarefree(linalg.int_charpoly(b))
     if q[-1] < 0:  # a primitive factor of a monic integer polynomial ends in +-1
         q = [-c for c in q]
     if not linalg.is_zero_matrix(linalg.int_poly_eval(q, b)):
-        k = len(q) - 1
-        psf = tuple([Fraction(c, den ** (k - i)) for i, c in enumerate(q)])
-        semi, nil = chevalley_split(v, psf)
-        if apply_derivation(nil, f) is not None:
+        b, nil, e = chevalley_split(b, q)
+        coeffs = linalg.clear_denominators(f.terms.values())[0]
+        if any(derive(nil, zip(f.terms, coeffs)).values()):
             return "the nilpotent part of the field acts nontrivially on the polynomial"
-        b, q, den = integer_form(semi.rows, psf)
+        k = len(q) - 1
+        q, den = [c * e ** (k - i) for i, c in enumerate(q)], den * e
     diag = diagonalize_integer(b, q, den)
     if diag is None:
         return (

@@ -4,19 +4,18 @@ Everything here is exact and deterministic; there are no tolerances
 anywhere.  The kernels run on integers and are named `int_*`: the product
 `int_mul`, Faddeev-LeVerrier `int_charpoly` and Horner `int_poly_eval` on
 integer matrices, the fraction-free Gauss-Jordan `int_echelon` (Bareiss
-1968) with `int_nullspace` and `rank` on it, and `int_squarefree`, whose gcd
-is a primitive remainder sequence (`poly_primitive_gcd`).  The degeneration
-path calls them directly on one `integer_matrix` per field and builds its
-Fractions once, at its end.  The Fraction entry points `mat_mul`,
-`charpoly`, `poly_eval_matrix`, `rref`, `nullspace` and `mat_inv` wrap
-them for their other callers: each scales its input to integers once
-(`integer_matrix`, or `clear_denominators` per row) and divides once per
-output entry, so its Fractions are the reduced values Fraction arithmetic
-gives.  `mat_inv` serves the Newton step of the Chevalley split, and
-`require_invertible` the bases that come from outside (`--basis`, the
-random sweep, `vfield.substitute_linear`); a certified eigenbasis needs
-neither.  Matrices are small (the ambient dimension is the number of
-coordinates, rarely above 8), so the cubic algorithms are adequate.
+1968) with `int_nullspace`, `int_inverse` and `rank` on it, and
+`int_squarefree`, whose gcd is a primitive remainder sequence
+(`poly_primitive_gcd`).  The degeneration path, the Newton step of the
+Chevalley split included, calls them directly on one `integer_matrix` per
+field and builds its Fractions once, at its end.  Two Fraction entry points
+wrap them: `nullspace` for `lp.kernel` and `charpoly`.  Each scales its
+input to integers once and divides once per output entry, so its Fractions
+are the reduced values Fraction arithmetic gives.  `require_invertible` is
+the rank test of the bases that come from outside (`--basis`, the random
+sweep, `vfield.substitute_linear`); a certified eigenbasis needs none.
+Matrices are small (the ambient dimension is the number of coordinates,
+rarely above 8), so the cubic algorithms are adequate.
 
 `eliminate` is the Fraction Gauss-Jordan step of the simplex in `lp`: it
 touches only the pivot row's nonzero entries and only the rows with a
@@ -65,25 +64,6 @@ def mat(rows) -> tuple:
     return out
 
 
-def zero_matrix(n: int) -> tuple:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(n)) for _ in range(n))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a, b):
-    """The product a*b, fraction-free: with Da and Db the lcms of the
-    denominators of a and b, the integer product (Da*a)(Db*b) becomes one
-    Fraction(x, Da*Db) per entry, the reduced value of the Fraction product."""
-    ia, da = integer_matrix(a)
-    ib, db = integer_matrix(b)
-    d = da * db
-    return tuple([tuple([Fraction(x, d) for x in row]) for row in int_mul(ia, ib)])
-
-
 def is_zero_matrix(a) -> bool:
     return all(not x for r in a for x in r)
 
@@ -98,7 +78,7 @@ def eliminate(rows, pr: int, c: int) -> None:
     the result is entry for entry the one of the dense step.  Rows are lists
     that are updated in place; rows may be any list holding them.  The
     simplex in `lp` is the one caller: it pivots on its tableau plus its
-    cost row.  `rref` eliminates on integer rows instead.
+    cost row.  `int_echelon` eliminates on integer rows instead.
     """
     prow = rows[pr]
     pv = prow[c]
@@ -121,6 +101,7 @@ def int_echelon(rows):
     of every other row R by R <- primitive(p*R - R[c]*P), so each row is a
     multiple of the one Fraction Gauss-Jordan holds and the pivots are
     chosen as there (the first nonzero entry at or below the current row).
+    `nullspace` and `int_inverse` read their answers off these rows.
     """
     m = [primitive(r) for r in rows]
     pivots = []
@@ -141,29 +122,6 @@ def int_echelon(rows):
         if r == len(m):
             break
     return m, pivots
-
-
-def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot_columns).
-
-    `int_echelon` on the rows scaled to integers by `clear_denominators`
-    (whose `frac` makes this the one place entries are coerced, so malformed
-    entries raise ValueError), then each pivot row divided by its pivot.
-    The reduced row echelon form is unique, so these are the Fractions that
-    Fraction Gauss-Jordan gives.
-
-    >>> red, pivots = rref([(1, 2, 3), (2, 4, 6), (1, 0, "1/2")])
-    >>> pivots
-    [0, 1]
-    >>> [[str(x) for x in row] for row in red]
-    [['1', '0', '1/2'], ['0', '1', '5/4'], ['0', '0', '0']]
-    """
-    m, pivots = int_echelon([clear_denominators(r)[0] for r in rows])
-    if not m:
-        return [], []
-    zero = Fraction(0)
-    red = [tuple([Fraction(x, row[c]) if x else zero for x in row]) for row, c in zip(m, pivots)]
-    return red + [(zero,) * len(m[0])] * (len(m) - len(pivots)), pivots
 
 
 def int_nullspace(rows):
@@ -192,13 +150,21 @@ def nullspace(rows):
     return [tuple([Fraction(x, den) for x in v]) for v in basis]
 
 
-def mat_inv(a):
+def int_inverse(a):
+    """(W, L) with a^-1 = W/L for a square integer matrix a, or None when a
+    is singular.  Row i of `int_echelon([a | I])` is p_i times row i of
+    [I | a^-1], so L is the lcm of the |p_i|, the least positive
+    denominator of a^-1, and W = L*a^-1 holds integer row lists.
+
+    >>> int_inverse([[2, 1], [4, 3]])
+    ([[3, -1], [-4, 2]], 2)
+    """
     n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    m, pivots = int_echelon([[*row, *[int(i == j) for j in range(n)]] for i, row in enumerate(a)])
     if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+        return None
+    den = lcm(*[row[i] for i, row in enumerate(m)])
+    return [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(m)], den
 
 
 def rank(rows) -> int:
@@ -332,23 +298,6 @@ def int_poly_eval(e, b):
         for i, row in enumerate(m):
             row[i] += c
     return m
-
-
-def poly_eval_matrix(p, a):
-    """p(a), fraction-free: with B = D*a the `integer_matrix` of a and C the
-    lcm of the denominators of p's m+1 coefficients, `int_poly_eval` of the
-    integers C*p[k]*D^(m-k) at B is C*D^m*p(a).  Each entry becomes one
-    Fraction at the end, so the result is the reduced p(a), entry for entry.
-    """
-    p = poly_trim(p)
-    if not p:
-        return zero_matrix(len(a))
-    e, cden = clear_denominators(p)
-    b, den = integer_matrix(a)
-    deg = len(e) - 1
-    scale = cden * den**deg
-    m = int_poly_eval([x * den ** (deg - k) for k, x in enumerate(e)], b)
-    return tuple([tuple([Fraction(x, scale) for x in row]) for row in m])
 
 
 # -- integerization --

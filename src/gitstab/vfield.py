@@ -4,16 +4,16 @@ A field v = sum_ij a_ij z_j d/dz_i is stored as its rational matrix (rows
 indexed by i, columns by j), so v sends the monomial z^gamma to
 sum_ij a_ij gamma_i z_j z^(gamma - e_i).  Diagonal fields act on monomials
 with eigenvalue <lambda, gamma>; the rest of the module reduces a general
-field to that case: the semisimple/nilpotent splitting over the rationals
-(Newton steps on Fractions), exact diagonalization when the eigenvalues are
-rational, on the integer matrix B = D*v (integer roots by p-adic root
-finding, fraction-free eigenspaces, a certificate by rank and B*P = P*R
-rather than an inverse, and Fractions built once at the end), and linear
-changes of coordinates, expanded on integers with one Fraction per output
-term; only a basis from outside gets `linalg.require_invertible`'s rank
-test, as a certified eigenbasis has passed one.  `parse_matrix` is the one
-reader of n x n JSON matrices (a field, a basis); every malformed one is a
-ValueError.
+field to that case on the integer matrix B = D*v: the semisimple/nilpotent
+splitting (Newton steps on an integer matrix over one denominator), exact
+diagonalization when the eigenvalues are rational (integer roots by p-adic
+root finding, fraction-free eigenspaces, a certificate by rank and
+B*P = P*R rather than an inverse, and Fractions built once at the end), and
+linear changes of coordinates, expanded on integers with one Fraction per
+output term; only a basis from outside gets `linalg.require_invertible`'s
+rank test, as a certified eigenbasis has passed one.  `parse_matrix` is the
+one reader of n x n JSON matrices (a field, a basis); every malformed one is
+a ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 
 from . import linalg
@@ -63,14 +63,6 @@ class LinearVectorField:
             not x for i, row in enumerate(self.rows) for j, x in enumerate(row) if i != j
         )
 
-    def is_nilpotent(self) -> bool:
-        b = self.rows
-        for _ in range(self.n - 1):
-            if linalg.is_zero_matrix(b):
-                return True
-            b = linalg.mat_mul(b, self.rows)
-        return linalg.is_zero_matrix(b)
-
 
 def parse_matrix(text: str, n: int, what: str) -> tuple:
     """An n x n matrix of rationals from a JSON array of rows; every failure
@@ -97,13 +89,13 @@ def parse_field(text: str, n_vars: int) -> LinearVectorField:
     return v
 
 
-def apply_derivation(v: LinearVectorField, f: HPoly) -> HPoly | None:
-    """v(f) as a polynomial of the same degree; None when v(f) = 0."""
-    if v.n != f.n_vars:
-        raise ValueError(f"field on {v.n} variables applied to {f.n_vars}-variable polynomial")
+def derive(rows, terms) -> dict:
+    """sum_ij rows[i][j] z_j d/dz_i applied to the (monomial, coefficient)
+    pairs of terms, as a term dict that may hold cancelled zeros; integer
+    rows and coefficients give integers."""
     out: dict = {}
-    entries = [(i, j, a) for i, row in enumerate(v.rows) for j, a in enumerate(row) if a]
-    for mono, c in f.terms.items():
+    entries = [(i, j, a) for i, row in enumerate(rows) for j, a in enumerate(row) if a]
+    for mono, c in terms:
         for i, j, a in entries:
             gi = mono[i]
             if not gi:
@@ -113,6 +105,14 @@ def apply_derivation(v: LinearVectorField, f: HPoly) -> HPoly | None:
             m[j] += 1
             key = tuple(m)
             out[key] = out.get(key, 0) + c * a * gi
+    return out
+
+
+def apply_derivation(v: LinearVectorField, f: HPoly) -> HPoly | None:
+    """v(f) as a polynomial of the same degree; None when v(f) = 0."""
+    if v.n != f.n_vars:
+        raise ValueError(f"field on {v.n} variables applied to {f.n_vars}-variable polynomial")
+    out = derive(v.rows, f.terms.items())
     if not any(out.values()):
         return None
     return HPoly(f.n_vars, out)
@@ -137,46 +137,57 @@ def invariance(v: LinearVectorField, f: HPoly) -> Fraction | None:
     return kappa
 
 
-def chevalley_split(v: LinearVectorField, psf: tuple) -> tuple:
-    """Additive decomposition v = s + n over the rationals.
+def chevalley_split(b, q) -> tuple:
+    """The split of an integer n x n matrix B into commuting semisimple and
+    nilpotent parts, as integers (M, N, e): the parts are M/e and N/e, with
+    e > 0 and N = e*B - M.
 
-    s is semisimple (its minimal polynomial is squarefree), n is nilpotent,
-    and the two commute; both are polynomials in v, which is what the Newton
-    iteration below computes.  psf is p*, the squarefree part of the
-    characteristic polynomial of v.
-    Starting from v itself, the update x <- x - p*(x) * p*'(x)^{-1} stays
-    inside the commutative algebra Q[v] and converges quadratically to the
-    unique root of p* congruent to v modulo nilpotents.  Everything is exact,
-    so convergence is detected by p*(x) vanishing identically; when p*(v) = 0
-    already, v is semisimple and the nilpotent part is zero.  s and v have
-    the same characteristic polynomial, so p* is also that of s.
+    q is the monic integer squarefree factor of B's characteristic
+    polynomial.  The semisimple part is a polynomial in B, the root of q
+    that Newton's iteration x <- x - q(x) q'(x)^-1 reaches from x = B (when
+    q(B) = 0 already, B is semisimple: M = B, N = 0, e = 1).  Each step runs
+    on x = M/e: the homogenized Horner sums Q = e^k q(M/e) and
+    Q' = e^(k-1) q'(M/e) are `int_poly_eval`s, `linalg.int_inverse` gives
+    Q'^-1 = W/L, and as q(x) q'(x)^-1 = Q*W/(L*e), the next x is
+    (L*M - Q*W)/(L*e), with the content common to M and e divided out.
+    Everything is exact, so convergence is Q = 0.
 
     Each step doubles the nilpotency order corrected for, so a Jordan block
-    of size k <= n needs ceil(log2 k) steps and one more to see p*(x) = 0.
-    The loop stops at ceil(log2 n) + 2 steps with a RuntimeError, so a wrong
-    kernel fails fast instead of iterating on ever larger rationals.
+    of size k <= n needs ceil(log2 k) steps and one more to see Q = 0.  The
+    loop stops at ceil(log2 n) + 2 steps with a RuntimeError, so a wrong
+    kernel fails fast instead of iterating on ever larger integers.  The
+    result is certified on integers: M*N = N*M, and N^(2^j) = 0 for the
+    least 2^j >= n; a failed check is a RuntimeError.
     """
-    a = v.rows
-    dpsf = linalg.poly_derivative(psf)
-    s = a
-    for _ in range((v.n - 1).bit_length() + 2):
-        e = linalg.poly_eval_matrix(psf, s)
-        if linalg.is_zero_matrix(e):
+    n, k = len(b), len(q) - 1
+    dq = linalg.poly_derivative(q)
+    m, e = b, 1
+    for _ in range((n - 1).bit_length() + 2):
+        big_q = linalg.int_poly_eval([c * e ** (k - i) for i, c in enumerate(q)], m)
+        if linalg.is_zero_matrix(big_q):
             break
-        d = linalg.poly_eval_matrix(dpsf, s)
-        s = linalg.mat_sub(s, linalg.mat_mul(e, linalg.mat_inv(d)))
+        dq_m = linalg.int_poly_eval([c * e ** (k - 1 - i) for i, c in enumerate(dq)], m)
+        inverse = linalg.int_inverse(dq_m)
+        if inverse is None:
+            raise RuntimeError("q'(x) must be invertible in the Newton step")
+        w, den = inverse
+        step = linalg.int_mul(big_q, w)
+        m = [[den * x - y for x, y in zip(rm, rs)] for rm, rs in zip(m, step)]
+        g = gcd(e * den, *[x for row in m for x in row])
+        m, e = [[x // g for x in row] for row in m], e * den // g
     else:
         raise RuntimeError("Newton iteration for the semisimple part did not converge")
-    if s is a:
-        return v, LinearVectorField(linalg.zero_matrix(v.n))
-    n = linalg.mat_sub(a, s)
-    semi = LinearVectorField(s)
-    nil = LinearVectorField(n)
-    if linalg.mat_mul(s, n) != linalg.mat_mul(n, s):
+    nil = [[e * x - y for x, y in zip(rb, rm)] for rb, rm in zip(b, m)]
+    if linalg.int_mul(m, nil) != linalg.int_mul(nil, m):
         raise RuntimeError("parts must commute")
-    if not nil.is_nilpotent():
+    power = nil
+    for _ in range((n - 1).bit_length()):
+        if linalg.is_zero_matrix(power):
+            break
+        power = linalg.int_mul(power, power)
+    if not linalg.is_zero_matrix(power):
         raise RuntimeError("nilpotent part must be nilpotent")
-    return semi, nil
+    return m, nil, e
 
 
 def _primes():

@@ -168,21 +168,15 @@ def random_matrix(rng: Random, n: int, bound: int = 3):
 
 
 def random_invertible(rng: Random, n: int, bound: int = 3):
-    from gitstab.linalg import mat_inv
-
     while True:
         m = random_matrix(rng, n, bound)
-        try:
-            mat_inv(m)
-        except ValueError:
-            continue
-        return m
+        if fraction_inverse(m) is not None:
+            return m
 
 
 def fraction_horner(p, a):
-    """p(a) by Horner's rule on Fraction matrices, one product per degree.
-
-    The plain reference for linalg.poly_eval_matrix, which runs the same
+    """p(a) by Horner's rule on Fraction matrices, one product per degree:
+    the plain reference for linalg.int_poly_eval, which runs the same
     recurrence on integers."""
     n = len(a)
     p = list(p)
@@ -202,15 +196,79 @@ def fraction_horner(p, a):
 
 def fraction_mat_mul(a, b):
     """a*b with one Fraction sum per entry: the plain reference for
-    linalg.mat_mul, which multiplies the integer-scaled factors."""
+    linalg.int_mul."""
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
 
 
+def fraction_inverse(a):
+    """a^-1 by Fraction Gauss-Jordan on [a | I], or None when a is singular:
+    the plain reference for linalg.int_inverse."""
+    n = len(a)
+    red, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def conjugate(p, core):
+    """P^-1 * core * P for an invertible rational P."""
+    return fraction_mat_mul(fraction_inverse(p), fraction_mat_mul(core, p))
+
+
+def is_nilpotent(a) -> bool:
+    """Whether a^n = 0 for the n x n rational matrix a, by Fraction products."""
+    power = a
+    for _ in range(len(a) - 1):
+        power = fraction_mat_mul(power, a)
+    return not any(x for row in power for x in row)
+
+
+def fraction_chevalley_split(a, psf):
+    """(s, n) for a rational matrix a and the monic squarefree factor psf of
+    its characteristic polynomial, by Newton's iteration
+    x <- x - psf(x) psf'(x)^-1 on Fraction matrices from x = a, capped at
+    ceil(log2 n) + 2 steps: the plain reference for vfield.chevalley_split,
+    which runs the same iteration on integers."""
+    dpsf = [i * c for i, c in enumerate(psf) if i]
+    s = tuple(tuple(Fraction(x) for x in row) for row in a)
+    for _ in range((len(a) - 1).bit_length() + 2):
+        value = fraction_horner(psf, s)
+        if not any(x for row in value for x in row):
+            break
+        step = fraction_mat_mul(value, fraction_inverse(fraction_horner(dpsf, s)))
+        s = tuple(tuple(x - y for x, y in zip(rs, rt)) for rs, rt in zip(s, step))
+    else:
+        raise RuntimeError("Newton iteration for the semisimple part did not converge")
+    return s, tuple(tuple(Fraction(x) - y for x, y in zip(ra, rs)) for ra, rs in zip(a, s))
+
+
+def monic_squarefree_factor(b):
+    """The monic integer squarefree factor q of an integer matrix's
+    characteristic polynomial, as degeneration._eigenbasis takes it."""
+    from gitstab import linalg
+
+    q = linalg.int_squarefree(linalg.int_charpoly(b))
+    return q if q[-1] > 0 else [-c for c in q]
+
+
+def integer_split(v):
+    """(s, n) of a LinearVectorField: vfield.chevalley_split on B = D*v and
+    its monic squarefree factor, with the parts M/e and N/e of B divided by D
+    into Fraction matrices."""
+    from gitstab import linalg, vfield
+
+    b, den = linalg.integer_matrix(v.rows)
+    m, nil, e = vfield.chevalley_split(b, monic_squarefree_factor(b))
+    return tuple(
+        tuple(tuple(Fraction(x, den * e) for x in row) for row in part) for part in (m, nil)
+    )
+
+
 def fraction_rref(rows):
     """Reduced row echelon form by Fraction Gauss-Jordan, one
-    linalg.eliminate step per pivot: the plain reference for linalg.rref,
-    which eliminates on primitive integer rows."""
+    linalg.eliminate step per pivot: the plain reference for
+    linalg.int_echelon, which eliminates on primitive integer rows."""
     from gitstab.linalg import eliminate, frac
 
     m = [list(map(frac, r)) for r in rows]
@@ -344,8 +402,8 @@ def fraction_charpoly(a):
 
 def squarefree_part(p):
     """The monic squarefree part of a rational polynomial, from
-    linalg.int_squarefree: the factor chevalley_split and
-    rational_diagonalize take from their caller."""
+    linalg.int_squarefree: the factor rational_diagonalize takes from its
+    caller."""
     from gitstab import linalg
 
     q = linalg.int_squarefree(linalg.clear_denominators(p)[0])
@@ -376,6 +434,14 @@ def _fraction_int_nullspace(rows):
     return [[int(x * den) for x in v] for v in basis], den
 
 
+def _fraction_int_inverse(a):
+    inverse = fraction_inverse(a)
+    if inverse is None:
+        return None
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    return [[int(x * den) for x in row] for row in inverse], den
+
+
 # linalg's integer kernels, each computed by its Fraction reference and
 # scaled back to integers: the same values up to the positive row, vector or
 # polynomial multiples their contracts leave open.
@@ -385,5 +451,6 @@ FRACTION_INTEGER_KERNELS = {
     "int_poly_eval": lambda e, b: [list(map(int, r)) for r in fraction_horner(e, b)],
     "int_echelon": _fraction_int_echelon,
     "int_nullspace": _fraction_int_nullspace,
+    "int_inverse": _fraction_int_inverse,
     "int_squarefree": lambda c: _integer_multiple(fraction_squarefree_part(c)),
 }

@@ -14,20 +14,14 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 from random import Random
 
 from gitstab import lp
 from gitstab.degeneration import from_destabilizer, theorem_crosscheck
 from gitstab.futaki import futaki_from_kappa, futaki_of_limit
-from gitstab.linalg import (
-    charpoly,
-    is_zero_matrix,
-    mat_inv,
-    mat_mul,
-    mat_sub,
-    poly_eval_matrix,
-)
+from gitstab.linalg import charpoly
 from gitstab.poly import HPoly, parse_poly, print_poly
 from gitstab.stability import (
     NOT_WEAKLY_STABLE,
@@ -37,14 +31,15 @@ from gitstab.stability import (
     oracle_classify,
     verdicts_consistent,
 )
-from gitstab.vfield import (
-    LinearVectorField,
-    chevalley_split,
-    invariance,
-    substitute_linear,
-)
+from gitstab.vfield import LinearVectorField, invariance, substitute_linear
 from gitstab.weights import WeightVector, limit_poly, mu
 from helpers import (
+    conjugate,
+    fraction_chevalley_split,
+    fraction_horner,
+    fraction_mat_mul,
+    integer_split,
+    is_nilpotent,
     random_coeff,
     random_hpoly,
     random_invertible,
@@ -195,8 +190,8 @@ def _suite_nilpotent_fields_have_zero_kappa():
         for j in range(1, n):
             nil[0][j] = Fraction(rng.randint(-2, 2))
         p = random_invertible(rng, n, 2)
-        v = LinearVectorField(mat_mul(mat_inv(p), mat_mul(tuple(tuple(r) for r in nil), p)))
-        assert v.is_nilpotent()
+        v = LinearVectorField(conjugate(p, nil))
+        assert is_nilpotent(v.rows)
         kappa = invariance(v, substitute_linear(f, p))
         assert kappa is not None and kappa == 0
 
@@ -231,14 +226,15 @@ def _suite_chevalley_postconditions():
                 for j in range(i + 1, n):
                     tri[i][j] = Fraction(rng.randint(-2, 2))
             p = random_invertible(rng, n, 2)
-            a = mat_mul(mat_inv(p), mat_mul(tuple(tuple(r) for r in tri), p))
+            a = conjugate(p, tri)
         v = LinearVectorField(a)
-        semi, nil = chevalley_split(v, squarefree_part(charpoly(v.rows)))
-        assert mat_sub(v.rows, nil.rows) == semi.rows
-        assert mat_mul(semi.rows, nil.rows) == mat_mul(nil.rows, semi.rows)
-        assert nil.is_nilpotent()
-        reduced = squarefree_part(charpoly(semi.rows))
-        assert is_zero_matrix(poly_eval_matrix(reduced, semi.rows))
+        semi, nil = integer_split(v)
+        assert (semi, nil) == fraction_chevalley_split(v.rows, squarefree_part(charpoly(v.rows)))
+        assert tuple(tuple(map(add, *rows)) for rows in zip(semi, nil)) == v.rows
+        assert fraction_mat_mul(semi, nil) == fraction_mat_mul(nil, semi)
+        assert is_nilpotent(nil)
+        reduced = squarefree_part(charpoly(semi))
+        assert not any(x for row in fraction_horner(reduced, semi) for x in row)
 
 
 def _suite_lp_witnesses_are_exact():

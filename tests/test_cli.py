@@ -209,17 +209,17 @@ def test_basis_sweep_stops_once_not_weakly_stable(capsys, monkeypatch):
     import gitstab.cli
 
     bases, drawn = [], []
-    real_substitute, real_draw = gitstab.cli.substitute_linear, gitstab.cli._random_basis
+    real_substitute, real_draw = gitstab.cli.substitute_integer, gitstab.cli._random_basis
 
-    def substitute_linear(f, basis):
+    def substitute_integer(f, basis, den):
         bases.append(basis)
-        return real_substitute(f, basis)
+        return real_substitute(f, basis, den)
 
     def random_basis(rng, n):
         drawn.append(n)
         return real_draw(rng, n)
 
-    monkeypatch.setattr(gitstab.cli, "substitute_linear", substitute_linear)
+    monkeypatch.setattr(gitstab.cli, "substitute_integer", substitute_integer)
     monkeypatch.setattr(gitstab.cli, "_random_basis", random_basis)
     for extra in ((), ("--json",)):
         plain = run(capsys, "stability", "-f", UNSTABLE_CUBIC, *extra)
@@ -246,6 +246,22 @@ def test_stability_refuses_a_singular_basis(capsys):
     for extra in ((), ("--basis-sweep", "2")):
         code, out, err = run(capsys, "stability", "-f", FERMAT, "--basis", singular, *extra)
         assert (code, out, err) == (2, "", "error: matrix is singular\n")
+
+
+def test_each_cli_basis_gets_one_rank_test(monkeypatch, capsys):
+    # _parse_basis and _random_basis test each basis as it is read or drawn,
+    # and the substitution trusts it.
+    from gitstab import linalg
+
+    sizes = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: sizes.append(len(rows)) or rank(rows))
+    basis = "[[1,1,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+    assert run(capsys, "stability", "-f", FERMAT, "--basis", basis)[0] == 0
+    assert sizes == [4]
+    sizes.clear()
+    assert run(capsys, "stability", "-f", FERMAT, "--basis-sweep", "2", "--seed", "3")[0] == 0
+    assert len(sizes) >= 2 and sizes == [4] * len(sizes)
 
 
 def test_a_constant_term_is_a_usage_error(capsys):

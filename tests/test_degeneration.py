@@ -19,9 +19,19 @@ from gitstab.degeneration import (
 )
 from gitstab.futaki import FutakiValue
 from gitstab.poly import HPoly
-from gitstab.vfield import LinearVectorField, substitute_linear
+from gitstab.vfield import LinearVectorField, apply_derivation, chevalley_split, substitute_linear
 from gitstab.weights import WeightVector, limit_poly, weight_spectrum
-from helpers import hp, random_hpoly, random_invertible, random_trace_zero_ints
+from helpers import (
+    conjugate,
+    fraction_chevalley_split,
+    hp,
+    integer_split,
+    monic_squarefree_factor,
+    random_hpoly,
+    random_invertible,
+    random_trace_zero_ints,
+    squarefree_part,
+)
 
 UNSTABLE_CUBIC = "z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3"
 FERMAT = "z0^3 + z1^3 + z2^3 + z3^3"
@@ -205,7 +215,7 @@ def _field_case(rng: Random, i: int):
         terms[tuple(mono)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5))
     while True:
         p = random_invertible(rng, n, 1)
-        v = LinearVectorField(linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(core, p)))
+        v = LinearVectorField(conjugate(p, core))
         if not v.is_diagonal:
             return substitute_linear(HPoly(n, terms), p), v, kind
 
@@ -316,6 +326,88 @@ def test_a_wrong_squarefree_factor_ends_in_runtime_error(monkeypatch, psf):
     monkeypatch.setattr(degeneration, "diagonalize_integer", lambda b, _, den: real(b, psf, den))
     with pytest.raises(RuntimeError, match="must sum to the ambient dimension"):
         build_degeneration(hp(FERMAT, 4), LinearVectorField(SWAP))
+
+
+def _non_semisimple_case(rng: Random, i: int):
+    """(f, v, irrational) for a seeded non-semisimple field v = P^-1 C P and
+    f = g(Pz), so v acts on f as C acts on g.  C is diagonal with small
+    rationals, denominators included, except for one block: on even i a
+    Jordan block of size 2 or 3 on a rational eigenvalue, on odd i the block
+    [[A, I], [0, A]] for the companion matrix A of x^2 - c, c not a square,
+    whose eigenvalues are irrational.  On every other pair of cases g avoids
+    the variables the block's nilpotent part differentiates, so it fixes f."""
+    irrational, fixes = i % 2 == 1, i // 2 % 2 == 1
+    n = rng.randint(4, 6) if irrational else rng.randint(2, 5)
+    eigs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+    core = [[eigs[r] if r == c else Fraction(0) for c in range(n)] for r in range(n)]
+    if irrational:
+        c = rng.choice((2, 3, 5, 6, 7))
+        for r in range(4):
+            core[r][r] = Fraction(0)
+        core[0][1] = core[2][3] = core[0][2] = core[1][3] = Fraction(1)
+        core[1][0] = core[3][2] = Fraction(c)
+        moved = (0, 1)  # the nilpotent part is z2 d/dz0 + z3 d/dz1
+    else:
+        size = min(n, rng.choice((2, 3)))
+        for k in range(1, size):
+            core[k][k], core[k - 1][k] = core[0][0], Fraction(1)
+        moved = range(size - 1)  # z_(k+1) d/dz_k inside the block
+    used = [k for k in range(n) if not (fixes and k in moved)]
+    terms = {}
+    for _ in range(4):
+        mono = [0] * n
+        for _ in range(3):
+            mono[rng.choice(used)] += 1
+        terms[tuple(mono)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2)))
+    p = random_invertible(rng, n, 1)
+    return substitute_linear(HPoly(n, terms), p), LinearVectorField(conjugate(p, core)), irrational
+
+
+def _answer(f, v):
+    try:
+        return build_degeneration(f, v).to_json()
+    except DegenerationError as exc:
+        return str(exc)
+
+
+def _fraction_newton(b, q):
+    """chevalley_split's (M, N, e) from the Fraction Newton of the helpers."""
+    s, _ = fraction_chevalley_split(b, q)
+    m, e = linalg.integer_matrix(s)
+    return m, [[e * x - y for x, y in zip(rb, rm)] for rb, rm in zip(b, m)], e
+
+
+def test_integer_split_matches_the_fraction_newton():
+    # Non-semisimple fields of the kinds the benchmark pool lacks: Jordan
+    # blocks on rational and on irrational eigenvalues, with nilpotent parts
+    # that fix f and ones that move it.  The integer split is the Fraction
+    # Newton's.  A nilpotent part that moves f is refused as such, before
+    # irrational eigenvalues are; otherwise v gives the answer or refusal of
+    # its semisimple part, which takes the path without Newton.
+    rng = Random(1971)
+    seen = set()
+    for i in range(80):
+        f, v, irrational = _non_semisimple_case(rng, i)
+        s, nil = fraction_chevalley_split(v.rows, squarefree_part(linalg.charpoly(v.rows)))
+        assert integer_split(v) == (s, nil)
+        b, _ = linalg.integer_matrix(v.rows)
+        q = monic_squarefree_factor(b)
+        split = chevalley_split(b, q)
+        assert split == _fraction_newton(b, q)
+        got = _answer(f, v)
+        moves = apply_derivation(LinearVectorField(nil), f) is not None
+        if moves:
+            assert got == "the nilpotent part of the field acts nontrivially on the polynomial"
+        else:
+            want = _answer(f, LinearVectorField(s))
+            if isinstance(want, dict) and want["basis"] is None:  # s is diagonal
+                got = dict(got, basis=None)
+            assert got == want
+            assert isinstance(got, str) == irrational
+        seen.add((irrational, moves))
+        if split[2] > 1:
+            seen.add("denominator")
+    assert seen == {(False, False), (False, True), (True, False), (True, True), "denominator"}
 
 
 def test_nilpotent_part_moving_f_is_rejected():

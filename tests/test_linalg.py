@@ -10,6 +10,7 @@ from gitstab import linalg
 from helpers import (
     FRACTION_INTEGER_KERNELS,
     fraction_charpoly,
+    fraction_inverse,
     fraction_mat_mul,
     fraction_rref,
     fraction_squarefree_part,
@@ -29,18 +30,20 @@ def test_rref_and_nullspace():
         assert v[0] + 2 * v[1] == 0
 
 
-def test_mat_inv_roundtrip():
+def test_int_inverse_roundtrip():
     rng = Random(5)
     for _ in range(50):
         n = rng.randint(1, 5)
-        m = random_invertible(rng, n)
-        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        assert linalg.mat_mul(m, linalg.mat_inv(m)) == identity
+        m = [[int(x) for x in row] for row in random_invertible(rng, n)]
+        w, den = linalg.int_inverse(m)
+        assert linalg.int_mul(m, w) == [[den * (i == j) for j in range(n)] for i in range(n)]
+        # den is the least positive denominator of m^-1
+        assert den > 0 and den == lcm(*(x.denominator for r in fraction_inverse(m) for x in r))
 
 
-def test_mat_inv_singular():
-    with pytest.raises(ValueError):
-        linalg.mat_inv(((1, 2), (2, 4)))
+def test_int_inverse_singular():
+    assert linalg.int_inverse([[1, 2], [2, 4]]) is None
+    assert linalg.int_inverse([[0, 0], [0, 0]]) is None
 
 
 def test_charpoly_known_values():
@@ -59,9 +62,8 @@ def test_charpoly_annihilates_matrix():
     rng = Random(11)
     for _ in range(40):
         n = rng.randint(1, 4)
-        m = random_matrix(rng, n)
-        p = linalg.charpoly(m)
-        assert linalg.is_zero_matrix(linalg.poly_eval_matrix(p, m))
+        m = [[int(x) for x in row] for row in random_matrix(rng, n)]
+        assert linalg.is_zero_matrix(linalg.int_poly_eval(linalg.int_charpoly(m), m))
 
 
 def _poly_of_matrix_from_definition(p, a):
@@ -79,43 +81,39 @@ def _poly_of_matrix_from_definition(p, a):
     return tuple(tuple(r) for r in total)
 
 
-def test_poly_eval_matrix_matches_the_definition():
+def test_int_poly_eval_matches_the_definition():
+    # The homogenized Horner sum of the Newton step: with A = M/e for an
+    # integer M and e > 0, int_poly_eval of the integers p_k * e^(m-k) at M
+    # is e^m * p(A).
     rng = Random(29)
-    matrices = [
-        tuple(
-            tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
-            for _ in range(n)
-        )
+    cases = [
+        ([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], rng.randint(1, 6))
         for n in range(1, 7)
         for _ in range(8)
     ]
-    # int entries, as charpoly's tests pass them; zero and 1x1 matrices
-    matrices += [((1, 0), (0, 1)), ((0, 1), (0, 0)), ((2, -1), (3, 0)), ((0, 0), (0, 0))]
-    matrices += [linalg.zero_matrix(3), ((Fraction(-5, 7),),), ((4,),), ((0,),)]
-    polys = [(), (0,), (Fraction(0), Fraction(0)), (Fraction(-7, 3),), (4,), (1, 0, 0)]
-    for m in matrices:
-        randoms = [  # length 0 is the empty polynomial, 1 a constant
-            tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length))
-            for length in range(6)
+    cases += [([[1, 0], [0, 1]], 1), ([[0, 1], [0, 0]], 3), ([[2, -1], [3, 0]], 2)]
+    cases += [([[0, 0], [0, 0]], 5), ([[0] * 3] * 3, 1), ([[-5]], 7), ([[4]], 1), ([[0]], 2)]
+    polys = [[-7], [4], [1, 0, 1], [0, 0, 1], [-2, 0, 1], [1, 1, 1, 1]]
+    for m, e in cases:
+        randoms = [  # length 1 is a constant
+            [rng.randint(-4, 4) for _ in range(length - 1)] + [rng.choice((-3, -1, 1, 2))]
+            for length in range(1, 6)
         ]
-        for p in polys + randoms + [(-2, 0, 1), (1, 1, 1, 1)]:
-            got = linalg.poly_eval_matrix(p, m)
-            assert got == _poly_of_matrix_from_definition(p, m)
-            assert all(isinstance(x, Fraction) for r in got for x in r)
-    # Distinct large primes as denominators: the integer scale C*D^m of the
-    # fraction-free evaluation then runs well past 2**64.
-    primes = [2**31 - 1, 2**61 - 1, 10**9 + 7, 10**9 + 9, 998244353, 2**89 - 1]
-    m = (
-        (Fraction(3, primes[0]), Fraction(-1, primes[1])),
-        (Fraction(5, primes[2]), Fraction(7, 11)),
-    )
-    p = (Fraction(1, primes[3]), Fraction(-2, primes[4]), Fraction(0), Fraction(5, primes[5]))
-    den = lcm(*(x.denominator for r in m for x in r))
-    assert lcm(*(c.denominator for c in p)) * den ** (len(p) - 1) > 2**64
-    got = linalg.poly_eval_matrix(p, m)
-    assert got == _poly_of_matrix_from_definition(p, m)
-    assert all(isinstance(x, Fraction) for r in got for x in r)
-    assert max(x.denominator for r in got for x in r) > 2**64
+        a = [[Fraction(x, e) for x in row] for row in m]
+        for p in polys + randoms:
+            deg = len(p) - 1
+            got = linalg.int_poly_eval([c * e ** (deg - k) for k, c in enumerate(p)], m)
+            want = _poly_of_matrix_from_definition(p, a)
+            assert got == [[x * e**deg for x in row] for row in want]
+            assert all(type(x) is int for r in got for x in r)
+    # Large primes in the scale: the entries run well past 2**64.
+    primes = [2**31 - 1, 2**61 - 1, 10**9 + 7, 998244353, 2**89 - 1]
+    m, e = [[3 * primes[0], -primes[1]], [5, 7 * primes[2]]], primes[3]
+    p = [primes[4], -2, 0, 5]
+    got = linalg.int_poly_eval([c * e ** (3 - k) for k, c in enumerate(p)], m)
+    want = _poly_of_matrix_from_definition(p, [[Fraction(x, e) for x in row] for row in m])
+    assert got == [[x * e**3 for x in row] for row in want]
+    assert max(abs(x) for r in got for x in r) > 2**64
 
 
 def test_poly_primitive_gcd():
@@ -244,7 +242,7 @@ def test_charpoly_matches_fraction_reference():
         assert got == fraction_charpoly(a)
         assert all(type(c) is Fraction for c in got)
     for n in range(1, 9):
-        zero = linalg.zero_matrix(n)
+        zero = ((Fraction(0),) * n,) * n
         assert linalg.charpoly(zero) == fraction_charpoly(zero)
         assert linalg.charpoly(zero) == (Fraction(0),) * n + (Fraction(1),)
 
@@ -340,7 +338,7 @@ def test_sparse_elimination_matches_dense_reference():
     shapes, deficient, singular, inverted = set(), 0, 0, 0
     for case in range(400):
         rows = _differential_matrix(rng, case)
-        red, pivots = linalg.rref(rows)
+        red, pivots = fraction_rref(rows)  # one linalg.eliminate step per pivot
         assert (red, pivots) == _dense_rref(rows)
         assert all(type(x) is Fraction for r in red for x in r)
         assert linalg.nullspace(rows) == _dense_nullspace(rows)
@@ -348,20 +346,22 @@ def test_sparse_elimination_matches_dense_reference():
         shapes.add((len(rows) == 1, len(rows[0]) == 1))
         if len(rows) == len(rows[0]):
             want = _dense_inverse(rows)
+            scaled, scale = linalg.integer_matrix(linalg.mat(rows))
+            got = linalg.int_inverse(scaled)
             if want is None:
                 singular += 1
-                with pytest.raises(ValueError, match="singular"):
-                    linalg.mat_inv(rows)
+                assert got is None
             else:
                 inverted += 1
-                assert linalg.mat_inv(rows) == want
+                w, den = got
+                assert tuple(tuple(Fraction(x * scale, den) for x in r) for r in w) == want
     assert shapes == {(True, False), (False, True), (False, False), (True, True)}
     assert deficient >= 60 and singular >= 30 and inverted >= 60
 
 
 def test_elimination_coerces_through_frac_once():
     for bad in (None, 0.5, "x"):
-        for call in (linalg.rref, linalg.nullspace, linalg.mat_inv):
+        for call in (linalg.nullspace, linalg.require_invertible):
             with pytest.raises(ValueError, match="cannot interpret"):
                 call([[1, bad], [0, 1]])
 
@@ -397,36 +397,34 @@ def test_fraction_free_kernels_match_fraction_references(monkeypatch):
     for case in range(360):
         rows = _kernel_matrix(rng, case)
         n_rows, n_cols = len(rows), len(rows[0])
-        red, pivots = linalg.rref(rows)
+        ints = [linalg.clear_denominators(r)[0] for r in rows]
+        # int_echelon's rows over their pivots are the reduced row echelon form
+        m, pivots = linalg.int_echelon(ints)
+        zero = Fraction(0)
+        red = [tuple(Fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)]
+        red += [(zero,) * n_cols] * (n_rows - len(pivots))
         assert (red, pivots) == fraction_rref(rows)
-        assert all(type(x) is Fraction for r in red for x in r)
         den = (1,) if case % 5 == 0 else (1, 3, rng.choice(_LARGE_PRIMES))
         width = rng.randint(1, 4)
         other = [
             [Fraction(rng.randint(-5, 5), rng.choice(den)) for _ in range(width)]
             for _ in range(n_cols)
         ]
-        product = linalg.mat_mul(rows, other)
-        assert product == fraction_mat_mul(rows, other)
-        assert all(type(x) is Fraction for r in product for x in r)
+        other_ints, other_den = linalg.integer_matrix(other)
+        scales = [linalg.clear_denominators(r)[1] for r in rows]
+        product = [
+            [Fraction(x, scale * other_den) for x in row]
+            for row, scale in zip(linalg.int_mul(ints, other_ints), scales)
+        ]
+        assert product == [list(r) for r in fraction_mat_mul(rows, other)]
         got_null = linalg.nullspace(rows)
-        got_inv = None
-        if n_rows == n_cols:
-            try:
-                got_inv = linalg.mat_inv(rows)
-            except ValueError as exc:
-                got_inv = str(exc)
+        got_inv = linalg.int_inverse(ints) if n_rows == n_cols else None
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "rref", fraction_rref)
             for name, reference in FRACTION_INTEGER_KERNELS.items():
                 patch.setattr(linalg, name, reference)
             assert got_null == linalg.nullspace(rows)
             if n_rows == n_cols:
-                try:
-                    want_inv = linalg.mat_inv(rows)
-                except ValueError as exc:
-                    want_inv = str(exc)
-                assert got_inv == want_inv
+                assert got_inv == linalg.int_inverse(ints)
         seen.add("wide" if n_cols > n_rows else "tall" if n_rows > n_cols else "square")
         cases = {
             "1x1": (n_rows, n_cols) == (1, 1),
@@ -434,13 +432,14 @@ def test_fraction_free_kernels_match_fraction_references(monkeypatch):
             "zero row": any(not any(r) for r in rows),
             "zero column": any(not any(r[c] for r in rows) for c in range(n_cols)),
             "ints": all(type(x) is int for r in rows for x in r),
-            "singular": got_inv == "matrix is singular",
+            "singular": n_rows == n_cols and got_inv is None,
+            "negative pivot": any(row[c] < 0 for row, c in zip(m, pivots)),
             "past 2**64": lcm(*(Fraction(x).denominator for r in rows for x in r)) > 2**64,
         }
         seen.update(name for name, hit in cases.items() if hit)
     assert seen == {"wide", "tall", "square", *cases}
     for bad in (None, 0.5, "1/0", True):
         rows = [[1, 2], [3, bad]]
-        for call in (linalg.rref, linalg.nullspace, linalg.mat_inv, fraction_rref):
+        for call in (linalg.nullspace, linalg.require_invertible, fraction_rref):
             with pytest.raises(ValueError, match="cannot interpret"):
                 call(rows)

@@ -22,11 +22,16 @@ from gitstab.vfield import (
 )
 from helpers import (
     FRACTION_INTEGER_KERNELS,
+    conjugate,
+    fraction_chevalley_split,
     fraction_horner,
+    fraction_inverse,
     fraction_mat_mul,
-    fraction_rref,
     fraction_substitute_linear,
     hp,
+    integer_split,
+    is_nilpotent,
+    monic_squarefree_factor,
     naive_derivation,
     naive_multiply,
     random_binomial_sum,
@@ -164,13 +169,20 @@ def _random_interesting_matrix(rng: Random, n: int):
         ]
         for i in range(n)
     ]
-    p = random_invertible(rng, n, 2)
-    return linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(tuple(map(tuple, upper)), p))
+    return conjugate(random_invertible(rng, n, 2), upper)
 
 
 def _psf(v):
     """The squarefree characteristic factor that callers pass in."""
     return squarefree_part(linalg.charpoly(v.rows))
+
+
+def _check_split(v, s, nil, psf):
+    """s + nil = v, the parts commute, nil is nilpotent and psf(s) = 0."""
+    assert tuple(tuple(x + y for x, y in zip(rs, rn)) for rs, rn in zip(s, nil)) == v.rows
+    assert fraction_mat_mul(s, nil) == fraction_mat_mul(nil, s)
+    assert is_nilpotent(nil)
+    assert linalg.is_zero_matrix(fraction_horner(psf, s))
 
 
 def test_chevalley_postconditions_and_uniqueness():
@@ -179,14 +191,10 @@ def test_chevalley_postconditions_and_uniqueness():
     for _ in range(100):
         m = _random_interesting_matrix(rng, 4)
         v = LinearVectorField(m)
-        psf = _psf(v)
-        s, nil = chevalley_split(v, psf)
-        assert linalg.mat_sub(v.rows, nil.rows) == s.rows
-        assert linalg.mat_mul(s.rows, nil.rows) == linalg.mat_mul(nil.rows, s.rows)
-        assert nil.is_nilpotent()
-        assert linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, s.rows))
+        s, nil = integer_split(v)
+        _check_split(v, s, nil, _psf(v))
         # uniqueness: agree with the independent quotient-ring construction
-        assert s.rows == _sympy_semisimple_part(m)
+        assert s == _sympy_semisimple_part(m)
 
 
 def test_chevalley_splits_three_jordan_blocks_of_size_eight():
@@ -205,28 +213,24 @@ def test_chevalley_splits_three_jordan_blocks_of_size_eight():
         tuple(Fraction(int(i == j) or (j > i) * rng.randint(-1, 1)) for j in range(n))
         for i in range(n)
     )
-    pinv = linalg.mat_inv(p)
-
-    def conj(m):
-        return linalg.mat_mul(pinv, linalg.mat_mul(tuple(map(tuple, m)), p))
-
-    v = LinearVectorField(conj([[x + y for x, y in zip(a, b)] for a, b in zip(semi, nil)]))
-    s, n_part = chevalley_split(v, _psf(v))
-    assert s.rows == conj(semi)
-    assert n_part.rows == conj(nil)
+    v = LinearVectorField(conjugate(p, [[x + y for x, y in zip(a, b)] for a, b in zip(semi, nil)]))
+    assert integer_split(v) == (conjugate(p, semi), conjugate(p, nil))
 
 
 def test_wrong_inverse_ends_newton_in_runtime_error():
-    # With the transposed inverse the iteration never reaches p*(s) = 0 and
+    # With the transposed inverse the iteration never reaches q(x) = 0 and
     # its entries grow at every step; the cap from n stops it at once.
     code = (
         "from gitstab import linalg, vfield\n"
-        "v = vfield.LinearVectorField([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]])\n"
-        "psf = (-2, -1, 1)  # (x - 2)(x + 1)\n"
-        "inverse = linalg.mat_inv\n"
-        "linalg.mat_inv = lambda a: tuple(zip(*inverse(a)))\n"
+        "b = [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]]\n"
+        "q = [-2, -1, 1]  # (x - 2)(x + 1)\n"
+        "inverse = linalg.int_inverse\n"
+        "def transposed(a):\n"
+        "    w, den = inverse(a)\n"
+        "    return [list(col) for col in zip(*w)], den\n"
+        "linalg.int_inverse = transposed\n"
         "try:\n"
-        "    vfield.chevalley_split(v, psf)\n"
+        "    vfield.chevalley_split(b, q)\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
     )
@@ -235,11 +239,42 @@ def test_wrong_inverse_ends_newton_in_runtime_error():
     assert out.stdout == "Newton iteration for the semisimple part did not converge\n"
 
 
+def test_a_wrong_factor_ends_the_split_in_runtime_error():
+    # x - 1 for a Jordan block of eigenvalue 2: Newton stops at once at the
+    # identity, which commutes with B, but B - I is not nilpotent.
+    with pytest.raises(RuntimeError, match="nilpotent part must be nilpotent"):
+        chevalley_split([[2, 1], [0, 2]], [-1, 1])
+    # x^2 - 1 for a nilpotent B: q'(B) = 2B has no inverse.
+    with pytest.raises(RuntimeError, match="q'\\(x\\) must be invertible"):
+        chevalley_split([[0, 1], [0, 0]], [-1, 0, 1])
+
+
+def test_a_wrong_inverse_that_converges_ends_in_runtime_error(monkeypatch):
+    # B = [[0, 1, 0], [0, 0, 0], [0, 0, 1]] with q = x^2 - x: one entry of
+    # the inverse of q'(B) = 2B - I off by one moves the first Newton step
+    # to the idempotent [[0, 0, 1], [0, 0, 0], [0, 0, 1]].  Newton stops
+    # there, and B minus it is nilpotent, but the two do not commute.
+    inverse = linalg.int_inverse
+
+    def off_by_one(a):
+        w, den = inverse(a)
+        w[1][2] += den
+        return w, den
+
+    monkeypatch.setattr(linalg, "int_inverse", off_by_one)
+    with pytest.raises(RuntimeError, match="parts must commute"):
+        chevalley_split([[0, 1, 0], [0, 0, 0], [0, 0, 1]], [0, -1, 1])
+
+
 def test_chevalley_golden_jordan():
-    v = LinearVectorField([[3, 1, 0], [0, 3, 0], [0, 0, 2]])
-    s, n = chevalley_split(v, _psf(v))
-    assert s.rows == LinearVectorField.diagonal([3, 3, 2]).rows
-    assert n.rows == LinearVectorField([[0, 1, 0], [0, 0, 0], [0, 0, 0]]).rows
+    # (x - 3)(x - 2) = x^2 - 5x + 6
+    b = [[3, 1, 0], [0, 3, 0], [0, 0, 2]]
+    assert chevalley_split(b, [6, -5, 1]) == ([[3, 0, 0], [0, 3, 0], [0, 0, 2]],
+                                              [[0, 1, 0], [0, 0, 0], [0, 0, 0]], 1)
+    # (x - 1)^2 (x + 2): the semisimple part has denominator 3
+    b = [[1, 0, 0], [2, 1, 0], [2, 1, -2]]
+    assert chevalley_split(b, [-2, 1, 1]) == ([[3, 0, 0], [0, 3, 0], [4, 3, -6]],
+                                              [[0, 0, 0], [6, 0, 0], [2, 0, 0]], 3)
 
 
 def test_rational_diagonalize_swap():
@@ -248,8 +283,7 @@ def test_rational_diagonalize_swap():
     assert got is not None
     weights, basis = got
     assert tuple(weights) == (1, -1)
-    d = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(((0, 1), (1, 0)), basis))
-    assert d == LinearVectorField.diagonal([1, -1]).rows
+    assert conjugate(basis, ((0, 1), (1, 0))) == LinearVectorField.diagonal([1, -1]).rows
 
 
 def test_rational_diagonalize_irrational_returns_none():
@@ -259,9 +293,8 @@ def test_rational_diagonalize_irrational_returns_none():
 
 
 def test_chevalley_semisimple_field_has_zero_nilpotent_part():
-    v = LinearVectorField([[0, 1, 0], [1, 0, 0], [0, 0, 5]])
-    s, nil = chevalley_split(v, _psf(v))
-    assert s == v and nil.rows == linalg.zero_matrix(3)
+    b = [[0, 1, 0], [1, 0, 0], [0, 0, 5]]
+    assert chevalley_split(b, monic_squarefree_factor(b)) == (b, [[0] * 3] * 3, 1)
 
 
 def test_chevalley_and_diagonalize_accept_a_known_squarefree_factor():
@@ -269,16 +302,13 @@ def test_chevalley_and_diagonalize_accept_a_known_squarefree_factor():
     for _ in range(60):
         v = LinearVectorField(_random_interesting_matrix(rng, rng.randint(2, 4)))
         psf = _psf(v)
-        s, nil = chevalley_split(v, psf)
-        assert linalg.mat_sub(v.rows, nil.rows) == s.rows
-        assert linalg.mat_mul(s.rows, nil.rows) == linalg.mat_mul(nil.rows, s.rows)
-        assert nil.is_nilpotent()
-        assert linalg.is_zero_matrix(linalg.poly_eval_matrix(psf, s.rows))
-        got = rational_diagonalize(s, psf)
+        s, nil = integer_split(v)
+        assert (s, nil) == fraction_chevalley_split(v.rows, psf)
+        _check_split(v, s, nil, psf)
+        got = rational_diagonalize(LinearVectorField(s), psf)
         if got is not None:
             weights, basis = got
-            conj = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(s.rows, basis))
-            assert conj == LinearVectorField.diagonal(weights).rows
+            assert conjugate(basis, s) == LinearVectorField.diagonal(weights).rows
 
 
 def test_rational_diagonalize_certifies_a_caller_supplied_factor():
@@ -336,9 +366,7 @@ def _conjugated_field(rng: Random, kind: str, n: int) -> LinearVectorField:
         core[0][0] = core[1][1] = Fraction(0)
         core[0][1], core[1][0] = Fraction(1), Fraction(rng.choice((2, 3, 5, 6, 7)))
     while True:
-        p = random_invertible(rng, n, 1)
-        m = linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(tuple(map(tuple, core)), p))
-        v = LinearVectorField(m)
+        v = LinearVectorField(conjugate(random_invertible(rng, n, 1), core))
         if not v.is_diagonal:
             return v
 
@@ -346,7 +374,7 @@ def _conjugated_field(rng: Random, kind: str, n: int) -> LinearVectorField:
 def _split_and_degeneration(f, v):
     from gitstab import degeneration
 
-    split = chevalley_split(v, _psf(v))
+    split = integer_split(v)
     try:
         report = degeneration.build_degeneration(f, v).to_json()
     except degeneration.DegenerationError as exc:
@@ -356,13 +384,10 @@ def _split_and_degeneration(f, v):
 
 def _fraction_pipeline(patch):
     """Swap every integer kernel of the degeneration path for its plain
-    Fraction reference: the Fraction entry points of linalg, its integer
-    kernels, and the substitution."""
+    Fraction reference: linalg's integer kernels, the Newton step's inverse
+    among them, and the substitution."""
     from gitstab import degeneration
 
-    patch.setattr(linalg, "poly_eval_matrix", fraction_horner)
-    patch.setattr(linalg, "mat_mul", fraction_mat_mul)
-    patch.setattr(linalg, "rref", fraction_rref)
     for name, reference in FRACTION_INTEGER_KERNELS.items():
         patch.setattr(linalg, name, reference)
 
@@ -375,8 +400,8 @@ def _fraction_pipeline(patch):
 def test_fraction_free_evaluation_leaves_split_and_degeneration_unchanged(monkeypatch):
     # The Chevalley split, the rational diagonalization and every
     # degeneration report are exactly those of an all-Fraction pipeline
-    # (Horner, products, Gauss-Jordan, the squarefree factor and the
-    # substitution), on conjugated fields of each kind.
+    # (Horner, products, Gauss-Jordan, inverses, the squarefree factor and
+    # the substitution), on conjugated fields of each kind.
     rng = Random(1968)
     kinds = ("rational", "nilpotent", "irrational")
     for i in range(150):
@@ -410,16 +435,13 @@ def test_rational_diagonalize_random_conjugates():
     for _ in range(60):
         n = rng.randint(2, 4)
         eigs = [rng.randint(-4, 4) for _ in range(n)]
-        p = random_invertible(rng, n, 2)
-        m = linalg.mat_mul(linalg.mat_inv(p), linalg.mat_mul(
-            LinearVectorField.diagonal(eigs).rows, p))
+        m = conjugate(random_invertible(rng, n, 2), LinearVectorField.diagonal(eigs).rows)
         v = LinearVectorField(m)
         got = rational_diagonalize(v, _psf(v))
         assert got is not None
         weights, basis = got
         assert sorted(weights, reverse=True) == sorted(map(Fraction, eigs), reverse=True)
-        conj = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(m, basis))
-        assert conj == LinearVectorField.diagonal(weights).rows
+        assert conjugate(basis, m) == LinearVectorField.diagonal(weights).rows
 
 
 def _from_roots(roots):
@@ -552,8 +574,8 @@ def test_substitute_linear_functorial():
         # f((AB)z) = (f(Az))(Bz)
         g = substitute_linear(f, a)
         assert all(g.terms.values())
-        assert substitute_linear(f, linalg.mat_mul(a, b)) == substitute_linear(g, b)
-        assert substitute_linear(g, linalg.mat_inv(a)) == f
+        assert substitute_linear(f, fraction_mat_mul(a, b)) == substitute_linear(g, b)
+        assert substitute_linear(g, fraction_inverse(a)) == f
 
 
 def test_substitute_linear_expands_a_six_variable_quartic():
@@ -564,7 +586,7 @@ def test_substitute_linear_expands_a_six_variable_quartic():
     a = random_invertible(rng, 6, 2)
     g = substitute_linear(f, a)
     assert all(g.terms.values())
-    assert substitute_linear(g, linalg.mat_inv(a)) == f
+    assert substitute_linear(g, fraction_inverse(a)) == f
 
 
 def _substitution_case(rng: Random, case: int):
@@ -577,11 +599,9 @@ def _substitution_case(rng: Random, case: int):
     den = (1,) if case % 3 == 0 else (1, 2, 3, rng.choice((2**31 - 1, 2**61 - 1, 10**9 + 7)))
     while True:
         basis = [[Fraction(rng.randint(-2, 2), rng.choice(den)) for _ in range(n)] for _ in range(n)]
-        try:
-            inverse = linalg.mat_inv(basis)
-        except ValueError:
-            continue
-        break
+        inverse = fraction_inverse(basis)
+        if inverse is not None:
+            break
     terms = {}
     for _ in range(rng.randint(1, 6)):
         mono = [0] * n
