@@ -41,7 +41,10 @@ Mutant = namedtuple("Mutant", "name path snippet replacement tests limit")
 
 VFIELD, LINALG = "src/gitstab/vfield.py", "src/gitstab/linalg.py"
 STABILITY, FUTAKI = "src/gitstab/stability.py", "src/gitstab/futaki.py"
+LP = "src/gitstab/lp.py"
 WRONG_KERNELS = ("tests/test_degeneration.py", "-k", "wrong")
+FRACTION_FREE = ("tests/test_linalg.py", "-k", "fraction_free")
+DENSE_SIMPLEX = ("tests/test_lp.py", "-k", "dense_simplex")
 
 DEGENERATION = "src/gitstab/degeneration.py"
 
@@ -77,11 +80,12 @@ MUTANTS = (
         ("tests/test_degeneration.py", "-k", "scaled"),
         120,
     ),
-    # Every field taken for semisimple, so a Jordan block skips the split.
+    # Every split taken for semisimple, so a Jordan block's nilpotent part
+    # is never tested and its semisimple part goes on with q unscaled.
     Mutant(
         "integer-semisimplicity",
         DEGENERATION,
-        "if not linalg.is_zero_matrix(linalg.int_poly_eval(q, b)):",
+        "if not linalg.is_zero_matrix(nil):",
         "if False:",
         ("tests/test_degeneration.py", "-k", "nilpotent or jordan"),
         120,
@@ -160,6 +164,29 @@ MUTANTS = (
         ("tests/test_degeneration.py", "-k", "nilpotent"),
         120,
     ),
+    # The fraction-free echelon form: rows above the pivot left uncleared,
+    # the pivot sought among rows already used, a zero row dropped, and the
+    # cleared rows kept with their content; the product with b's rows taken
+    # for its columns.
+    Mutant("echelon-rows-above", LINALG, "if f and i != r:", "if f and i > r:", FRACTION_FREE, 120),
+    Mutant("echelon-pivot-search", LINALG, "range(r, len(m))", "range(len(m))", FRACTION_FREE, 120),
+    Mutant(
+        "echelon-zero-row",
+        LINALG,
+        "m = [primitive(r) for r in rows]",
+        "m = [primitive(r) for r in rows if any(r)]",
+        FRACTION_FREE,
+        120,
+    ),
+    Mutant(
+        "echelon-not-primitive",
+        LINALG,
+        "m[i] = primitive([p * x - f * y for x, y in zip(row, prow)])",
+        "m[i] = [p * x - f * y for x, y in zip(row, prow)]",
+        FRACTION_FREE,
+        120,
+    ),
+    Mutant("int-mul-transpose", LINALG, "cols = list(zip(*b))", "cols = b", FRACTION_FREE, 120),
     # Pseudo-division by b_lead instead of b_lead / gcd(a_lead, b_lead).
     Mutant(
         "gcd-multiplier",
@@ -262,12 +289,20 @@ MUTANTS = (
     # Bland's tie-break in the ratio test, reversed.
     Mutant(
         "bland-tie-break",
-        "src/gitstab/lp.py",
+        LP,
         "(ratio == best and basis[r] < basis[pr])",
         "(ratio == best and basis[r] > basis[pr])",
         ("tests/test_lp.py",),
         120,
     ),
+    # The artificial of a '>=' row, read through its surplus column: its
+    # phase-one cost -1 dropped, and on re-entry the pivot row left as the
+    # surplus pivot makes it, or the cost row not given the -1.  Without the
+    # offset, phase one may cycle, so the selection starts with the dense
+    # comparisons, which fail on the first wrong snapshot.
+    Mutant("mirror-cost-offset", LP, "offset = -1 if phase == 1 else 0", "offset = 0", DENSE_SIMPLEX, 120),
+    Mutant("mirror-pivot-row-sign", LP, "prow[j] = -y", "prow[j] = y", DENSE_SIMPLEX, 120),
+    Mutant("mirror-cost-row-step", LP, "crow[j] -= y", "pass", DENSE_SIMPLEX, 120),
     # The box enumerator letting the last coordinate reach bound + 1.
     Mutant(
         "box-bound",

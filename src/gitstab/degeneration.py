@@ -174,16 +174,17 @@ def _eigenbasis(f: HPoly, v: LinearVectorField):
     traceback a kept DegenerationError carries ends in build_degeneration and
     does not hold this frame's Chevalley split.  The work runs on B = D*v,
     with v's eigenvectors and D times its eigenvalues, and on the monic
-    squarefree factor q of its characteristic polynomial.  When q(B) != 0,
-    B is split into (M + N)/e on integers; N must annihilate f, whose
-    coefficients are scaled to integers for the test, and the semisimple
-    part goes on as M, its factor e^k q(x/e) and the denominator D*e."""
+    squarefree factor q of its characteristic polynomial.  B is split into
+    (M + N)/e on integers, which also tests semisimplicity: N = 0 exactly
+    when q(B) = 0.  A nonzero N must annihilate f, whose coefficients are
+    scaled to integers for the test, and the semisimple part goes on as M,
+    its factor e^k q(x/e) and the denominator D*e."""
     b, den = linalg.integer_matrix(v.rows)
     q = linalg.int_squarefree(linalg.int_charpoly(b))
     if q[-1] < 0:  # a primitive factor of a monic integer polynomial ends in +-1
         q = [-c for c in q]
-    if not linalg.is_zero_matrix(linalg.int_poly_eval(q, b)):
-        b, nil, e = chevalley_split(b, q)
+    b, nil, e = chevalley_split(b, q)
+    if not linalg.is_zero_matrix(nil):
         coeffs = linalg.clear_denominators(f.terms.values())[0]
         if any(derive(nil, zip(f.terms, coeffs)).values()):
             return "the nilpotent part of the field acts nontrivially on the polynomial"

@@ -150,14 +150,15 @@ def chevalley_split(b, q) -> tuple:
     Q' = e^(k-1) q'(M/e) are `int_poly_eval`s, `linalg.int_inverse` gives
     Q'^-1 = W/L, and as q(x) q'(x)^-1 = Q*W/(L*e), the next x is
     (L*M - Q*W)/(L*e), with the content common to M and e divided out.
-    Everything is exact, so convergence is Q = 0.
+    Everything is exact, so convergence is Q = 0.  The first evaluation,
+    q(B), is the semisimplicity test of `degeneration._eigenbasis`.
 
     Each step doubles the nilpotency order corrected for, so a Jordan block
     of size k <= n needs ceil(log2 k) steps and one more to see Q = 0.  The
     loop stops at ceil(log2 n) + 2 steps with a RuntimeError, so a wrong
-    kernel fails fast instead of iterating on ever larger integers.  The
-    result is certified on integers: M*N = N*M, and N^(2^j) = 0 for the
-    least 2^j >= n; a failed check is a RuntimeError.
+    kernel fails fast instead of iterating on ever larger integers.  A
+    split with N != 0 is certified on integers: M*N = N*M, and N^(2^j) = 0
+    for the least 2^j >= n; a failed check is a RuntimeError.
     """
     n, k = len(b), len(q) - 1
     dq = linalg.poly_derivative(q)
@@ -178,6 +179,8 @@ def chevalley_split(b, q) -> tuple:
     else:
         raise RuntimeError("Newton iteration for the semisimple part did not converge")
     nil = [[e * x - y for x, y in zip(rb, rm)] for rb, rm in zip(b, m)]
+    if linalg.is_zero_matrix(nil):  # q(B) = 0: B is semisimple
+        return m, nil, e
     if linalg.int_mul(m, nil) != linalg.int_mul(nil, m):
         raise RuntimeError("parts must commute")
     power = nil

@@ -363,3 +363,56 @@ def test_sparse_pivots_match_dense_simplex():
         driven_out += driven
     assert min(statuses.get(s, 0) for s in (lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED)) >= 30
     assert driven_out >= 30, "redundant equalities should leave artificials to drive out"
+
+
+def _artificial_relations(program):
+    """The relation of each artificial's row, keyed by the artificial's
+    column: the columns run x+ | x- | slacks | artificials, after a row with
+    a negative right-hand side has been flipped."""
+    flip = {LE: GE, GE: LE, EQ: EQ}
+    rels = [rel if rhs >= 0 else flip[rel] for _, rel, rhs in program.constraints]
+    width = 2 * program.n_vars + sum(rel != EQ for rel in rels)
+    return {width + k: rel for k, rel in enumerate(rel for rel in rels if rel != LE)}
+
+
+def _mirror_program(rng: Random, case: int):
+    """The three shapes the stored '>=' artificials must get right: the cone
+    program of `stability.classify_torus` on homogeneous exponents (= and
+    >= rows, where a >= artificial sometimes re-enters in phase one), the
+    mixed programs of `_differential_program`, and <= rows alone."""
+    if case % 3 == 0:
+        n, d = rng.randint(4, 5), rng.randint(3, 4)
+        gammas = set()
+        for _ in range(rng.randint(6, 10)):
+            cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+            gammas.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, d])))
+        gammas = sorted(gammas, reverse=True)
+        total = [sum(g[i] for g in gammas) for i in range(n)]
+        cons = [([1] * n, EQ, 0)] + [(g, GE, 0) for g in gammas] + [(total, LE, 1)]
+        return _program(total, cons)
+    if case % 3 == 1:
+        return _differential_program(rng, case)
+    n = rng.randint(1, 4)
+    obj = [rng.randint(-4, 4) for _ in range(n)]
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+    return _program(obj, [(row, LE, rng.randint(0, 6)) for row in rows])
+
+
+def test_stored_artificials_match_dense_simplex():
+    # The artificial of a >= row is read through its surplus column; every
+    # snapshot must still be the dense tableau's, in all three shapes.
+    rng = Random(2026)
+    reentered = mixed = le_only = 0
+    for case in range(240):
+        prog = _mirror_program(rng, case)
+        got_log, want_log = [], []
+        got = solve(prog, pivot_log=got_log)
+        *want, _ = _dense_solve(prog, want_log)
+        assert (got.status, got.value, got.witness) == tuple(want)
+        assert got_log == want_log
+        rels = _artificial_relations(prog)
+        reentered += any(s["phase"] == 1 and rels.get(s["entering"]) == GE for s in got_log)
+        mixed += {EQ, GE} <= set(rels.values())
+        le_only += all(rel == LE for _, rel, _ in prog.constraints)
+    assert reentered >= 5, "a >= artificial should re-enter the basis in phase one"
+    assert mixed >= 60 and le_only >= 60
