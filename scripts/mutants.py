@@ -49,7 +49,7 @@ DENSE_SIMPLEX = ("tests/test_lp.py", "-k", "dense_simplex")
 DEGENERATION = "src/gitstab/degeneration.py"
 
 MUTANTS = (
-    # The eigenbasis certificate of diagonalize_integer, one check at a time;
+    # The eigenbasis certificate of rational_diagonalize, one check at a time;
     # only the wrong-kernel tests reach the guards.
     Mutant("eigenspace-count", VFIELD, "if len(cols) != n:", "if False:", WRONG_KERNELS, 120),
     Mutant("eigenbasis-rank", VFIELD, "if linalg.rank(cols) != n:", "if False:", WRONG_KERNELS, 120),
@@ -293,6 +293,16 @@ MUTANTS = (
         "(ratio == best and basis[r] < basis[pr])",
         "(ratio == best and basis[r] > basis[pr])",
         ("tests/test_lp.py",),
+        120,
+    ),
+    # The simplex's repeated-basis check deleted, so a pivot that changes
+    # nothing loops instead of failing.
+    Mutant(
+        "repeated-basis",
+        LP,
+        "if key in seen:",
+        "if False:",
+        ("tests/test_lp.py", "-k", "moves_nothing"),
         120,
     ),
     # The artificial of a '>=' row, read through its surplus column: its

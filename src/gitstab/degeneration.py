@@ -45,7 +45,7 @@ from .vfield import (
     LinearVectorField,
     chevalley_split,
     derive,
-    diagonalize_integer,
+    rational_diagonalize,
     substitute_integer,
 )
 from .weights import WeightVector, mu, weight_spectrum
@@ -180,7 +180,7 @@ def _eigenbasis(f: HPoly, v: LinearVectorField):
     scaled to integers for the test, and the semisimple part goes on as M,
     its factor e^k q(x/e) and the denominator D*e."""
     b, den = linalg.integer_matrix(v.rows)
-    q = linalg.int_squarefree(linalg.int_charpoly(b))
+    q = linalg.int_squarefree(linalg.charpoly(b))
     if q[-1] < 0:  # a primitive factor of a monic integer polynomial ends in +-1
         q = [-c for c in q]
     b, nil, e = chevalley_split(b, q)
@@ -190,7 +190,7 @@ def _eigenbasis(f: HPoly, v: LinearVectorField):
             return "the nilpotent part of the field acts nontrivially on the polynomial"
         k = len(q) - 1
         q, den = [c * e ** (k - i) for i, c in enumerate(q)], den * e
-    diag = diagonalize_integer(b, q, den)
+    diag = rational_diagonalize(b, q, den)
     if diag is None:
         return (
             "the semisimple part has irrational eigenvalues; "

@@ -1,21 +1,21 @@
 """Exact dense linear algebra over the rationals.
 
 Everything here is exact and deterministic; there are no tolerances
-anywhere.  The kernels run on integers and are named `int_*`: the product
-`int_mul`, Faddeev-LeVerrier `int_charpoly` and Horner `int_poly_eval` on
-integer matrices, the fraction-free Gauss-Jordan `int_echelon` (Bareiss
-1968) with `int_nullspace`, `int_inverse` and `rank` on it, and
-`int_squarefree`, whose gcd is a primitive remainder sequence
-(`poly_primitive_gcd`).  The degeneration path, the Newton step of the
-Chevalley split included, calls them directly on one `integer_matrix` per
-field and builds its Fractions once, at its end.  Two Fraction entry points
-wrap them: `nullspace` for `lp.kernel` and `charpoly`.  Each scales its
-input to integers once and divides once per output entry, so its Fractions
-are the reduced values Fraction arithmetic gives.  `require_invertible` is
-the rank test of the bases that come from outside (`--basis`, the random
-sweep, `vfield.substitute_linear`); a certified eigenbasis needs none.
-Matrices are small (the ambient dimension is the number of coordinates,
-rarely above 8), so the cubic algorithms are adequate.
+anywhere.  Every matrix kernel runs on integers: the product `int_mul`,
+Faddeev-LeVerrier `charpoly` and Horner `int_poly_eval` on integer
+matrices, the fraction-free Gauss-Jordan `int_echelon` (Bareiss 1968) with
+`nullspace`, `int_inverse` and `rank` on it, and `int_squarefree`, whose gcd
+is a primitive remainder sequence (`poly_primitive_gcd`).  `charpoly` and
+`nullspace` keep the names of the Fraction kernels they replaced, which are
+the names the benchmark tracer (`perfbench/tracer.py`) wraps.  The
+degeneration path, the Newton step of the Chevalley split included, calls
+them on one `integer_matrix` per field and builds its Fractions once, at its
+end; `lp.kernel` is `nullspace` on a form's exponent rows.
+`require_invertible` is the rank test of the bases that come from outside
+(`--basis`, the random sweep, `vfield.substitute_linear`); a certified
+eigenbasis needs none.  Matrices are small (the ambient dimension is the
+number of coordinates, rarely above 8), so the cubic algorithms are
+adequate.
 
 `eliminate` is the Fraction Gauss-Jordan step of the simplex in `lp`: it
 touches only the pivot row's nonzero entries and only the rows with a
@@ -124,9 +124,11 @@ def int_echelon(rows):
     return m, pivots
 
 
-def int_nullspace(rows):
-    """(basis, den) for nonempty integer rows: den times each vector of
-    `nullspace`, as integer lists, with den the lcm of the pivots."""
+def nullspace(rows):
+    """(basis, den) for nonempty integer rows: a deterministic basis of the
+    right kernel, as integer lists.  Vector k over den carries a 1 in the
+    k-th free column, and the vectors are ordered by increasing free column;
+    den is the lcm of the pivots of `int_echelon`."""
     m, pivots = int_echelon(rows)
     den = lcm(*[row[c] for row, c in zip(m, pivots)])
     basis = []
@@ -138,16 +140,6 @@ def int_nullspace(rows):
                 v[pc] = -row[fc] * (den // row[pc])
             basis.append(v)
     return basis, den
-
-
-def nullspace(rows):
-    """Deterministic basis of the right kernel of a nonempty row system.
-
-    Each basis vector carries a 1 in one free column; vectors are ordered by
-    increasing free column index.
-    """
-    basis, den = int_nullspace([clear_denominators(r)[0] for r in rows])
-    return [tuple([Fraction(x, den) for x in v]) for v in basis]
 
 
 def int_inverse(a):
@@ -193,7 +185,7 @@ def int_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def int_charpoly(b):
+def charpoly(b):
     """Ascending integer coefficients (c0, ..., c_{n-1}, 1) of det(xI - B)
     for an integer matrix B, by the Faddeev-LeVerrier recurrence: every M_k
     stays an integer matrix and each division of a trace by k is exact."""
@@ -210,14 +202,6 @@ def int_charpoly(b):
             raise RuntimeError("Faddeev-LeVerrier trace must divide exactly over the integers")
         coeffs[n - k] = c
     return coeffs
-
-
-def charpoly(a):
-    """Characteristic polynomial: ascending coefficients (c0, ..., c_{n-1}, 1)
-    of det(xI - A).  With B = D*A the `integer_matrix` of A, c_i is the
-    coefficient b_i of `int_charpoly(B)` over D^(n-i)."""
-    b, den = integer_matrix(a)
-    return tuple([Fraction(c, den ** (len(b) - i)) for i, c in enumerate(int_charpoly(b))])
 
 
 # -- univariate polynomial helpers (ascending coefficient tuples) --

@@ -5,7 +5,8 @@ split into a positive and a negative part internally), constraints may be
 '<=', '=' or '>=', and the objective is always maximized.  Bland's smallest
 index rule makes the pivot sequence, and therefore the reported witness,
 deterministic; it also rules out cycling, so termination needs no tolerance
-or iteration cap.
+or iteration cap, and a phase that comes back to a basis it has left (a
+fault in the pivoting) raises RuntimeError instead of running on.
 
 Pivots are `linalg.eliminate` steps on the tableau plus its cost row; the
 simplex is that step's one caller, as `linalg.int_echelon` eliminates on
@@ -125,6 +126,7 @@ def _iterate(tab, basis, crow, width, arts, pivot_log, phase):
     ('unbounded', entering_column).
     """
     offset = -1 if phase == 1 else 0  # a mirrored artificial's cost
+    seen = {tuple(basis)}
     while True:
         e = next((j for j in range(width) if crow[j] > 0), None)
         if e is None and phase == 1:
@@ -160,6 +162,10 @@ def _iterate(tab, basis, crow, width, arts, pivot_log, phase):
                 }
             )
         _pivot(tab, crow, basis, pr, e, col, mirrored)
+        key = tuple(basis)
+        if key in seen:
+            raise RuntimeError(f"phase {phase} came back to an earlier basis")
+        seen.add(key)
 
 
 def _canonical_cost(cost, tab, basis):
@@ -287,5 +293,6 @@ def _verify(program: LinearProgram, x, ray: bool):
 
 
 def kernel(rows):
-    """Deterministic rational basis of {x : row . x = 0 for all rows}."""
-    return linalg.nullspace(rows)
+    """Deterministic integer basis of {x : row . x = 0 for all rows} for
+    nonempty integer rows: the vectors of `linalg.nullspace`."""
+    return linalg.nullspace(rows)[0]

@@ -7,7 +7,7 @@ validation, which lets every downstream computation assume a single total
 degree: it refuses negative or non-integral exponents and inhomogeneous
 terms, and drops zero coefficients, so code that builds a term map (the
 parser, `_mul_maps`) just accumulates and may leave cancelled terms at 0.
-The parser and `vfield.substitute_linear` key their terms by shared
+The parser and `vfield.substitute_integer` key their terms by shared
 monomial tuples (`shared_monomial`), so equal monomials are one object.
 
 The text format is deliberately small:
@@ -40,7 +40,7 @@ from .linalg import frac
 Monomial = tuple  # tuple[int, ...]
 
 # One shared tuple per monomial for the term maps built here and by
-# `vfield.substitute_linear`: parsed forms and forms rewritten in another
+# `vfield.substitute_integer`: parsed forms and forms rewritten in another
 # basis (and their strata and limits, which reuse the keys) hold one copy of
 # each monomial however many of them are kept.  The table stops taking new
 # monomials at _SHARED_MAX entries.

@@ -131,7 +131,7 @@ def classify_torus(f: HPoly) -> StabilityVerdict:
     """
     gammas = sorted(f.terms, reverse=True)
     n = f.n_vars
-    ones = tuple(Fraction(1) for _ in range(n))
+    ones = (1,) * n
     fixing_basis = lp.kernel([ones] + gammas)
     fixing_dim = len(fixing_basis)
 

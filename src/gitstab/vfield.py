@@ -4,16 +4,17 @@ A field v = sum_ij a_ij z_j d/dz_i is stored as its rational matrix (rows
 indexed by i, columns by j), so v sends the monomial z^gamma to
 sum_ij a_ij gamma_i z_j z^(gamma - e_i).  Diagonal fields act on monomials
 with eigenvalue <lambda, gamma>; the rest of the module reduces a general
-field to that case on the integer matrix B = D*v: the semisimple/nilpotent
-splitting (Newton steps on an integer matrix over one denominator), exact
-diagonalization when the eigenvalues are rational (integer roots by p-adic
-root finding, fraction-free eigenspaces, a certificate by rank and
+field to that case on the integer matrix B = D*v, every matrix step on
+integers: the semisimple/nilpotent split `chevalley_split` (Newton steps
+over one denominator), exact diagonalization `rational_diagonalize` (the
+name the benchmark tracer wraps) when the eigenvalues are rational (p-adic
+integer roots, `linalg.nullspace` eigenspaces, a certificate by rank and
 B*P = P*R rather than an inverse, and Fractions built once at the end), and
-linear changes of coordinates, expanded on integers with one Fraction per
-output term; only a basis from outside gets `linalg.require_invertible`'s
-rank test, as a certified eigenbasis has passed one.  `parse_matrix` is the
-one reader of n x n JSON matrices (a field, a basis); every malformed one is
-a ValueError.
+linear changes of coordinates `substitute_integer`, one Fraction per output
+term.  Only a basis from outside takes `substitute_linear` and its
+`linalg.require_invertible` rank test, as a certified eigenbasis has passed
+one.  `parse_matrix` is the one reader of n x n JSON matrices (a field, a
+basis); every malformed one is a ValueError.
 """
 
 from __future__ import annotations
@@ -274,17 +275,17 @@ def _rational_roots(psf):
     return sorted(roots if a == 1 else [Fraction(y, a) for y in roots], reverse=True)
 
 
-def diagonalize_integer(b, q, den: int):
+def rational_diagonalize(b, q, den: int):
     """(weights, basis, P, L) diagonalizing the rational matrix B/den, for an
     integer matrix B and the monic integer squarefree q with q(B) = 0, or
     None when q has an irrational root (unsupported here, not an error).
 
-    The eigenspaces are the `int_nullspace`s of B - rI for the integer roots
-    r of q.  The columns of the integer matrix P are L times the eigenbasis,
-    by decreasing eigenvalue; the weights r/den and the basis P/L are their
-    Fractions.  P is certified without an inverse: the eigenspace dimensions
-    sum to n, P has `linalg.rank` n, and B*P = P*R, which with rank n is
-    P^-1*B*P = R (R the r on the diagonal).  A failed check is a
+    The eigenspaces are the `linalg.nullspace`s of B - rI for the integer
+    roots r of q.  The columns of the integer matrix P are L times the
+    eigenbasis, by decreasing eigenvalue; the weights r/den and the basis P/L
+    are their Fractions.  P is certified without an inverse: the eigenspace
+    dimensions sum to n, P has `linalg.rank` n, and B*P = P*R, which with
+    rank n is P^-1*B*P = R (R the r on the diagonal).  A failed check is a
     RuntimeError: B is not semisimple, or a kernel is wrong.
     """
     n = len(b)
@@ -294,7 +295,7 @@ def diagonalize_integer(b, q, den: int):
     spaces = []
     for r in roots:
         shifted = [[x - r if i == j else x for j, x in enumerate(row)] for i, row in enumerate(b)]
-        spaces.append((r, *linalg.int_nullspace(shifted)))
+        spaces.append((r, *linalg.nullspace(shifted)))
     pden = lcm(*[d for _, _, d in spaces])
     cols = [[x * (pden // d) for x in v] for _, vs, d in spaces for v in vs]
     eig = [r for r, vs, _ in spaces for _ in vs]
@@ -307,31 +308,6 @@ def diagonalize_integer(b, q, den: int):
         raise RuntimeError("eigenbasis must diagonalize")
     weights = WeightVector(tuple([Fraction(r, den) for r in eig]))
     return weights, tuple([tuple([Fraction(x, pden) for x in row]) for row in p]), p, pden
-
-
-def integer_form(rows, psf):
-    """(B, q, D): B = D*rows, the `linalg.integer_matrix`, and q(x) =
-    D^k psf(x/D) for the monic squarefree factor psf of degree k.  B's
-    rational eigenvalues are integers, so q must have integer coefficients.
-    """
-    b, den = linalg.integer_matrix(rows)
-    k = len(psf) - 1
-    q, qden = linalg.clear_denominators([c * den ** (k - i) for i, c in enumerate(psf)])
-    if qden != 1 or q[-1] != 1:
-        raise RuntimeError("the squarefree factor must scale to a monic integer polynomial")
-    return b, q, den
-
-
-def rational_diagonalize(v: LinearVectorField, psf: tuple):
-    """Diagonalize a semisimple field over Q, if its eigenvalues are rational.
-
-    psf is the squarefree characteristic factor with psf(v) = 0.  Returns
-    (weights, basis_matrix), the columns an eigenbasis ordered by decreasing
-    eigenvalue, or None when psf has an irrational factor: the answer of
-    `diagonalize_integer` on the `integer_form` of v and psf.
-    """
-    found = diagonalize_integer(*integer_form(v.rows, psf))
-    return None if found is None else found[:2]
 
 
 def substitute_linear(f: HPoly, basis) -> HPoly:

@@ -248,7 +248,7 @@ def monic_squarefree_factor(b):
     characteristic polynomial, as degeneration._eigenbasis takes it."""
     from gitstab import linalg
 
-    q = linalg.int_squarefree(linalg.int_charpoly(b))
+    q = linalg.int_squarefree(linalg.charpoly(b))
     return q if q[-1] > 0 else [-c for c in q]
 
 
@@ -383,7 +383,7 @@ def fraction_squarefree_part(p):
 
 def fraction_charpoly(a):
     """Faddeev-LeVerrier over Fractions: the plain reference for
-    linalg.charpoly and linalg.int_charpoly, which run it on integers."""
+    linalg.charpoly, which runs it on integers."""
     n = len(a)
     a = [[Fraction(x) for x in row] for row in a]
     coeffs = [Fraction(0)] * n + [Fraction(1)]
@@ -400,14 +400,42 @@ def fraction_charpoly(a):
     return tuple(coeffs)
 
 
+def rational_charpoly(a):
+    """Ascending Fraction coefficients of det(xI - A) for a rational matrix
+    A, from linalg.charpoly on B = D*A, the integer_matrix of A: the
+    coefficient of x^i is B's over D^(n-i)."""
+    from gitstab import linalg
+
+    b, den = linalg.integer_matrix(a)
+    return tuple(Fraction(c, den ** (len(b) - i)) for i, c in enumerate(linalg.charpoly(b)))
+
+
 def squarefree_part(p):
     """The monic squarefree part of a rational polynomial, from
-    linalg.int_squarefree: the factor rational_diagonalize takes from its
+    linalg.int_squarefree: the factor diagonalize_field takes from its
     caller."""
     from gitstab import linalg
 
     q = linalg.int_squarefree(linalg.clear_denominators(p)[0])
     return tuple(Fraction(x, q[-1]) for x in q)
+
+
+def diagonalize_field(v, psf):
+    """(weights, basis) diagonalizing a semisimple LinearVectorField v over Q,
+    the basis columns by decreasing eigenvalue, or None when psf has an
+    irrational root: vfield.rational_diagonalize on B = D*v and q(x) =
+    D^k psf(x/D), for the monic squarefree factor psf of degree k with
+    psf(v) = 0.  B's rational eigenvalues are integers, so a q that is not
+    a monic integer polynomial is a RuntimeError."""
+    from gitstab import linalg, vfield
+
+    b, den = linalg.integer_matrix(v.rows)
+    k = len(psf) - 1
+    q, qden = linalg.clear_denominators([c * den ** (k - i) for i, c in enumerate(psf)])
+    if qden != 1 or q[-1] != 1:
+        raise RuntimeError("the squarefree factor must scale to a monic integer polynomial")
+    found = vfield.rational_diagonalize(b, q, den)
+    return None if found is None else found[:2]
 
 
 def _integer_multiple(values):
@@ -421,7 +449,7 @@ def _fraction_int_echelon(rows):
     return [_integer_multiple(r) for r in red], pivots
 
 
-def _fraction_int_nullspace(rows):
+def _fraction_nullspace(rows):
     red, pivots = fraction_rref(rows)
     basis = []
     for fc in (c for c in range(len(rows[0])) if c not in pivots):
@@ -447,10 +475,10 @@ def _fraction_int_inverse(a):
 # polynomial multiples their contracts leave open.
 FRACTION_INTEGER_KERNELS = {
     "int_mul": lambda a, b: [list(map(int, r)) for r in fraction_mat_mul(a, b)],
-    "int_charpoly": lambda b: list(map(int, fraction_charpoly(b))),
+    "charpoly": lambda b: list(map(int, fraction_charpoly(b))),
     "int_poly_eval": lambda e, b: [list(map(int, r)) for r in fraction_horner(e, b)],
     "int_echelon": _fraction_int_echelon,
-    "int_nullspace": _fraction_int_nullspace,
+    "nullspace": _fraction_nullspace,
     "int_inverse": _fraction_int_inverse,
     "int_squarefree": lambda c: _integer_multiple(fraction_squarefree_part(c)),
 }

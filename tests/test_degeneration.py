@@ -30,6 +30,7 @@ from helpers import (
     random_hpoly,
     random_invertible,
     random_trace_zero_ints,
+    rational_charpoly,
     squarefree_part,
 )
 
@@ -278,13 +279,13 @@ def _repeat_first(basis):
 def _feed_wrong_eigenspaces(monkeypatch, wrong):
     """Make every eigenspace kernel return wrong(its basis), with its
     denominator kept."""
-    real = linalg.int_nullspace
+    real = linalg.nullspace
 
     def kernel(rows):
         basis, den = real(rows)
         return wrong(basis), den
 
-    monkeypatch.setattr(linalg, "int_nullspace", kernel)
+    monkeypatch.setattr(linalg, "nullspace", kernel)
 
 
 @pytest.mark.parametrize(
@@ -322,8 +323,8 @@ def test_a_singular_eigenbasis_is_an_internal_error(monkeypatch, capsys):
 def test_a_wrong_squarefree_factor_ends_in_runtime_error(monkeypatch, psf):
     # The swap field's factor is x^3 - x; either wrong one leaves fewer than
     # four eigenvectors.
-    real = degeneration.diagonalize_integer
-    monkeypatch.setattr(degeneration, "diagonalize_integer", lambda b, _, den: real(b, psf, den))
+    real = degeneration.rational_diagonalize
+    monkeypatch.setattr(degeneration, "rational_diagonalize", lambda b, _, den: real(b, psf, den))
     with pytest.raises(RuntimeError, match="must sum to the ambient dimension"):
         build_degeneration(hp(FERMAT, 4), LinearVectorField(SWAP))
 
@@ -388,7 +389,7 @@ def test_integer_split_matches_the_fraction_newton():
     seen = set()
     for i in range(80):
         f, v, irrational = _non_semisimple_case(rng, i)
-        s, nil = fraction_chevalley_split(v.rows, squarefree_part(linalg.charpoly(v.rows)))
+        s, nil = fraction_chevalley_split(v.rows, squarefree_part(rational_charpoly(v.rows)))
         assert integer_split(v) == (s, nil)
         b, _ = linalg.integer_matrix(v.rows)
         q = monic_squarefree_factor(b)

@@ -16,16 +16,27 @@ from helpers import (
     fraction_squarefree_part,
     random_invertible,
     random_matrix,
+    rational_charpoly,
     run_python,
     squarefree_part,
 )
 
 
+def _rational_nullspace(rows):
+    """The right kernel of rational rows as Fraction vectors, each with a 1
+    in its free column: linalg.nullspace on the rows scaled to integers,
+    every vector over its den."""
+    basis, den = linalg.nullspace([linalg.clear_denominators(r)[0] for r in rows])
+    return [tuple(Fraction(x, den) for x in v) for v in basis]
+
+
 def test_rref_and_nullspace():
     rows = [(1, 1, 1, 1), (1, 2, 0, 0)]
-    basis = linalg.nullspace(rows)
-    assert len(basis) == 2
+    basis, den = linalg.nullspace(rows)
+    assert (basis, den) == FRACTION_INTEGER_KERNELS["nullspace"](rows)
+    assert len(basis) == 2 and den > 0
     for v in basis:
+        assert all(type(x) is int for x in v)
         assert sum(v) == 0
         assert v[0] + 2 * v[1] == 0
 
@@ -47,15 +58,13 @@ def test_int_inverse_singular():
 
 
 def test_charpoly_known_values():
-    assert linalg.charpoly(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))) == (
-        Fraction(-1),
-        Fraction(0),
-        Fraction(1),
-    )
+    assert linalg.charpoly([[0, 1], [1, 0]]) == [-1, 0, 1]
     # identity: (x-1)^2 = 1 - 2x + x^2
-    assert linalg.charpoly(((1, 0), (0, 1))) == (Fraction(1), Fraction(-2), Fraction(1))
+    assert linalg.charpoly([[1, 0], [0, 1]]) == [1, -2, 1]
     # nilpotent Jordan block: x^2
-    assert linalg.charpoly(((0, 1), (0, 0))) == (Fraction(0), Fraction(0), Fraction(1))
+    assert linalg.charpoly([[0, 1], [0, 0]]) == [0, 0, 1]
+    for b in ([[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [0, 0]]):
+        assert linalg.charpoly(b) == list(fraction_charpoly(b))
 
 
 def test_charpoly_annihilates_matrix():
@@ -63,7 +72,7 @@ def test_charpoly_annihilates_matrix():
     for _ in range(40):
         n = rng.randint(1, 4)
         m = [[int(x) for x in row] for row in random_matrix(rng, n)]
-        assert linalg.is_zero_matrix(linalg.int_poly_eval(linalg.int_charpoly(m), m))
+        assert linalg.is_zero_matrix(linalg.int_poly_eval(linalg.charpoly(m), m))
 
 
 def _poly_of_matrix_from_definition(p, a):
@@ -238,13 +247,17 @@ def test_charpoly_matches_fraction_reference():
                 tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n))
                 for _ in range(n)
             )
-        got = linalg.charpoly(a)
-        assert got == fraction_charpoly(a)
-        assert all(type(c) is Fraction for c in got)
+        # linalg.charpoly runs on B = D*A; its coefficient of x^i over
+        # D^(n-i) is A's
+        b, den = linalg.integer_matrix(a)
+        got = linalg.charpoly(b)
+        assert all(type(c) is int for c in got)
+        assert got == list(fraction_charpoly(b))
+        assert rational_charpoly(a) == fraction_charpoly(a)
     for n in range(1, 9):
-        zero = ((Fraction(0),) * n,) * n
-        assert linalg.charpoly(zero) == fraction_charpoly(zero)
-        assert linalg.charpoly(zero) == (Fraction(0),) * n + (Fraction(1),)
+        zero = [[0] * n for _ in range(n)]
+        assert linalg.charpoly(zero) == list(fraction_charpoly(zero))
+        assert linalg.charpoly(zero) == [0] * n + [1]
 
 
 @pytest.mark.parametrize("bad", [None, True, False, 0.5, "1/0", "z", "", [1], (1, 2)])
@@ -341,7 +354,7 @@ def test_sparse_elimination_matches_dense_reference():
         red, pivots = fraction_rref(rows)  # one linalg.eliminate step per pivot
         assert (red, pivots) == _dense_rref(rows)
         assert all(type(x) is Fraction for r in red for x in r)
-        assert linalg.nullspace(rows) == _dense_nullspace(rows)
+        assert _rational_nullspace(rows) == _dense_nullspace(rows)
         deficient += len(pivots) < min(len(rows), len(rows[0]))
         shapes.add((len(rows) == 1, len(rows[0]) == 1))
         if len(rows) == len(rows[0]):
@@ -361,7 +374,7 @@ def test_sparse_elimination_matches_dense_reference():
 
 def test_elimination_coerces_through_frac_once():
     for bad in (None, 0.5, "x"):
-        for call in (linalg.nullspace, linalg.require_invertible):
+        for call in (_rational_nullspace, linalg.require_invertible):
             with pytest.raises(ValueError, match="cannot interpret"):
                 call([[1, bad], [0, 1]])
 
@@ -417,12 +430,12 @@ def test_fraction_free_kernels_match_fraction_references(monkeypatch):
             for row, scale in zip(linalg.int_mul(ints, other_ints), scales)
         ]
         assert product == [list(r) for r in fraction_mat_mul(rows, other)]
-        got_null = linalg.nullspace(rows)
+        got_null = linalg.nullspace(ints)
         got_inv = linalg.int_inverse(ints) if n_rows == n_cols else None
         with monkeypatch.context() as patch:
             for name, reference in FRACTION_INTEGER_KERNELS.items():
                 patch.setattr(linalg, name, reference)
-            assert got_null == linalg.nullspace(rows)
+            assert got_null == linalg.nullspace(ints)
             if n_rows == n_cols:
                 assert got_inv == linalg.int_inverse(ints)
         seen.add("wide" if n_cols > n_rows else "tall" if n_rows > n_cols else "square")
@@ -440,6 +453,6 @@ def test_fraction_free_kernels_match_fraction_references(monkeypatch):
     assert seen == {"wide", "tall", "square", *cases}
     for bad in (None, 0.5, "1/0", True):
         rows = [[1, 2], [3, bad]]
-        for call in (linalg.nullspace, linalg.require_invertible, fraction_rref):
+        for call in (_rational_nullspace, linalg.require_invertible, fraction_rref):
             with pytest.raises(ValueError, match="cannot interpret"):
                 call(rows)

@@ -1,11 +1,13 @@
 """Exact simplex: golden cases, random verification, Fourier-Motzkin oracle."""
 
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from gitstab import lp
+from gitstab import linalg, lp
+from gitstab.cli import main
 from gitstab.lp import EQ, GE, LE, LinearProgram, solve, kernel
 
 
@@ -92,9 +94,31 @@ def test_verification_rejects_bad_points_and_rays():
     lp._verify(_program([1, 1], [([1, 0], LE, 1), ([1, 1], GE, 0)]), (0, 1), True)
 
 
+def test_a_pivot_that_moves_nothing_is_an_error_not_a_hang(monkeypatch, capsys):
+    # With a no-op elimination the tableau never changes, so the step after
+    # the first pivot pivots on the same entry and comes back to the basis
+    # it made.  A run without the repeated-basis check would pivot forever;
+    # the fake elimination fails it after 100 steps instead.
+    steps = []
+
+    def no_op(rows, pr, c):
+        steps.append(c)
+        if len(steps) > 100:
+            raise AssertionError("the simplex kept pivoting on a tableau that never changes")
+
+    monkeypatch.setattr(linalg, "eliminate", no_op)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="phase 2 came back to an earlier basis"):
+        solve(_program([1, 1], [([1, 0], LE, 1), ([0, 1], LE, 1)]))
+    assert time.perf_counter() - start < 1
+    # The classifier's programs fail the same way, as an internal error.
+    assert main(["stability", "-f", "z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3"]) == 6
+    assert capsys.readouterr().err == "internal error: phase 2 came back to an earlier basis\n"
+
+
 def test_kernel_golden():
     basis = kernel([(1, 1, 1, 1), (1, 2, 0, 0)])
-    assert len(basis) == 2
+    assert basis == [[-2, 1, 1, 0], [-2, 1, 0, 1]]
 
 
 # -- randomized cross-checks ------------------------------------------------

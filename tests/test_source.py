@@ -231,6 +231,47 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert proc.stdout == "False\n"
 
 
+def test_benchmark_tracer_reaches_the_kernels_the_program_runs():
+    # Each name the tracer wraps must be the one the program calls, or its
+    # span reads 0 however much work the program does.  The Jordan field has
+    # rational eigenvalues and a nilpotent part that fixes f, so it takes the
+    # whole eigenbasis path; the cubic is unstable, so the LP runs.
+    # vfield.substitute is not listed: that span wraps substitute_linear,
+    # the entry point of outside bases, and this path calls
+    # substitute_integer.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r})\n"
+        "import tracer\n"
+        "t = tracer.Tracer(spans=False)\n"
+        "t.install()\n"
+        "from gitstab import degeneration, stability, vfield\n"
+        "from gitstab.poly import parse_poly\n"
+        "f = parse_poly('z1^3 + z2^3 + z3^3', 4)\n"
+        "v = vfield.LinearVectorField([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -2]])\n"
+        "degeneration.build_degeneration(f, v)\n"
+        "g = parse_poly('z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3', 4)\n"
+        "print(stability.classify_torus(g).classification)\n"
+        "t.uninstall()\n"
+        "print(' '.join(sorted(t.calls)))\n"
+    )
+    proc = run_python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdict, names = proc.stdout.splitlines()
+    assert verdict == "not_weakly_stable"
+    called = set(names.split())
+    wanted = {
+        "linalg.charpoly",
+        "linalg.nullspace",
+        "vfield.chevalley",
+        "vfield.diagonalize",
+        "vfield.sympy_factor",
+        "lp.kernel",
+        "lp.solve",
+    }
+    assert wanted - called == set()
+
+
 def test_readme_library_example_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)

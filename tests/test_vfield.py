@@ -17,12 +17,12 @@ from gitstab.vfield import (
     chevalley_split,
     invariance,
     parse_field,
-    rational_diagonalize,
     substitute_linear,
 )
 from helpers import (
     FRACTION_INTEGER_KERNELS,
     conjugate,
+    diagonalize_field,
     fraction_chevalley_split,
     fraction_horner,
     fraction_inverse,
@@ -39,6 +39,7 @@ from helpers import (
     random_invertible,
     random_matrix,
     random_weights,
+    rational_charpoly,
     run_python,
     squarefree_part,
 )
@@ -174,7 +175,7 @@ def _random_interesting_matrix(rng: Random, n: int):
 
 def _psf(v):
     """The squarefree characteristic factor that callers pass in."""
-    return squarefree_part(linalg.charpoly(v.rows))
+    return squarefree_part(rational_charpoly(v.rows))
 
 
 def _check_split(v, s, nil, psf):
@@ -279,7 +280,7 @@ def test_chevalley_golden_jordan():
 
 def test_rational_diagonalize_swap():
     swap = LinearVectorField([[0, 1], [1, 0]])
-    got = rational_diagonalize(swap, _psf(swap))
+    got = diagonalize_field(swap, _psf(swap))
     assert got is not None
     weights, basis = got
     assert tuple(weights) == (1, -1)
@@ -289,7 +290,7 @@ def test_rational_diagonalize_swap():
 def test_rational_diagonalize_irrational_returns_none():
     # eigenvalues +-sqrt(2)
     v = LinearVectorField([[0, 2], [1, 0]])
-    assert rational_diagonalize(v, _psf(v)) is None
+    assert diagonalize_field(v, _psf(v)) is None
 
 
 def test_chevalley_semisimple_field_has_zero_nilpotent_part():
@@ -305,7 +306,7 @@ def test_chevalley_and_diagonalize_accept_a_known_squarefree_factor():
         s, nil = integer_split(v)
         assert (s, nil) == fraction_chevalley_split(v.rows, psf)
         _check_split(v, s, nil, psf)
-        got = rational_diagonalize(LinearVectorField(s), psf)
+        got = diagonalize_field(LinearVectorField(s), psf)
         if got is not None:
             weights, basis = got
             assert conjugate(basis, s) == LinearVectorField.diagonal(weights).rows
@@ -316,20 +317,20 @@ def test_rational_diagonalize_certifies_a_caller_supplied_factor():
     # x - 1 does kill the semisimple part, not this field: the eigenspace
     # check still refuses to return a basis
     with pytest.raises(RuntimeError):
-        rational_diagonalize(jordan, (Fraction(-1), Fraction(1)))
+        diagonalize_field(jordan, (Fraction(-1), Fraction(1)))
 
 
 def test_build_degeneration_computes_one_charpoly_per_field(monkeypatch):
     from gitstab import degeneration
 
     calls = []
-    charpoly = linalg.int_charpoly
+    charpoly = linalg.charpoly
 
     def counting(a):
         calls.append(a)
         return charpoly(a)
 
-    monkeypatch.setattr(linalg, "int_charpoly", counting)
+    monkeypatch.setattr(linalg, "charpoly", counting)
     fermat = parse_poly("z0^3 + z1^3 + z2^3 + z3^3", 4)
     swap = LinearVectorField(
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
@@ -415,8 +416,8 @@ def test_fraction_free_evaluation_leaves_split_and_degeneration_unchanged(monkey
 
 
 def test_fraction_free_kernels_leave_fixing_witnesses_unchanged(monkeypatch):
-    # lp.kernel is linalg.nullspace, which gives classify_torus its fixing
-    # dimension and, for weakly stable forms, its witness.
+    # lp.kernel is linalg.nullspace's basis, which gives classify_torus its
+    # fixing dimension and, for weakly stable forms, its witness.
     rng = Random(1969)
     weakly = 0
     for _ in range(60):
@@ -437,7 +438,7 @@ def test_rational_diagonalize_random_conjugates():
         eigs = [rng.randint(-4, 4) for _ in range(n)]
         m = conjugate(random_invertible(rng, n, 2), LinearVectorField.diagonal(eigs).rows)
         v = LinearVectorField(m)
-        got = rational_diagonalize(v, _psf(v))
+        got = diagonalize_field(v, _psf(v))
         assert got is not None
         weights, basis = got
         assert sorted(weights, reverse=True) == sorted(map(Fraction, eigs), reverse=True)
@@ -471,12 +472,12 @@ def test_rational_roots_split_golden():
 
 _NOT_SQUAREFREE = """\
 from gitstab import linalg
-from gitstab.vfield import LinearVectorField, _rational_roots, rational_diagonalize
+from gitstab.vfield import _rational_roots, rational_diagonalize
 
 calls = [
     lambda: _rational_roots((1, -2, 1)),  # (x - 1)^2
     lambda: _rational_roots((0, 0, 1, 1)),  # x^2 (x + 1)
-    lambda: rational_diagonalize(LinearVectorField(((1, 0), (0, 1))), psf=(1, -2, 1)),
+    lambda: rational_diagonalize([[1, 0], [0, 1]], [1, -2, 1], 1),
 ]
 for call in calls:
     try:
