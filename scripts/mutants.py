@@ -306,13 +306,50 @@ MUTANTS = (
         120,
     ),
     # The artificial of a '>=' row, read through its surplus column: its
-    # phase-one cost -1 dropped, and on re-entry the pivot row left as the
-    # surplus pivot makes it, or the cost row not given the -1.  Without the
-    # offset, phase one may cycle, so the selection starts with the dense
-    # comparisons, which fail on the first wrong snapshot.
+    # phase-one cost -1 dropped, the pivot row of a negated column scaled to
+    # +1 instead of -1, or the cost not moved onto the surplus column when
+    # the artificial re-enters.  Without the offset, phase one may cycle, so
+    # the selection starts with the dense comparisons, which fail on the
+    # first wrong snapshot.
     Mutant("mirror-cost-offset", LP, "offset = -1 if phase == 1 else 0", "offset = 0", DENSE_SIMPLEX, 120),
-    Mutant("mirror-pivot-row-sign", LP, "prow[j] = -y", "prow[j] = y", DENSE_SIMPLEX, 120),
-    Mutant("mirror-cost-row-step", LP, "crow[j] -= y", "pass", DENSE_SIMPLEX, 120),
+    Mutant(
+        "mirror-pivot-row-sign",
+        LINALG,
+        "pv = prow[c] if sign > 0 else -prow[c]",
+        "pv = prow[c]",
+        DENSE_SIMPLEX,
+        120,
+    ),
+    Mutant("mirror-cost-row-step", LP, "crow[c] += 1", "pass", DENSE_SIMPLEX, 120),
+    # x- read through the column of x+: its reduced cost read unnegated, a
+    # mirrored pivot taken with sign 1, the phase-two cost reduced as if a
+    # basic x- held +1, and a ray's entries along a mirrored column left
+    # unnegated.
+    Mutant(
+        "mirror-reduced-cost",
+        LP,
+        "crow[c] < (offset if k >= width else 0) if neg else crow[c] > 0",
+        "crow[c] < offset if neg and k >= width else crow[c] > 0",
+        DENSE_SIMPLEX,
+        120,
+    ),
+    Mutant(
+        "mirror-pivot-sign",
+        LP,
+        "linalg.eliminate(tab + [crow], pr, c, -1 if neg else 1)",
+        "linalg.eliminate(tab + [crow], pr, c)",
+        DENSE_SIMPLEX,
+        120,
+    ),
+    Mutant(
+        "mirror-phase-two-cost",
+        LP,
+        "linalg.eliminate([tab[r], crow], 0, c, -1 if neg else 1)",
+        "linalg.eliminate([tab[r], crow], 0, c)",
+        DENSE_SIMPLEX,
+        120,
+    ),
+    Mutant("mirror-ray-sign", LP, "tab[r][c] if neg else -tab[r][c]", "-tab[r][c]", DENSE_SIMPLEX, 120),
     # The box enumerator letting the last coordinate reach bound + 1.
     Mutant(
         "box-bound",

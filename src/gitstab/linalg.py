@@ -19,8 +19,10 @@ adequate.
 
 `eliminate` is the Fraction Gauss-Jordan step of the simplex in `lp`: it
 touches only the pivot row's nonzero entries and only the rows with a
-nonzero entry in the pivot column.  Exact arithmetic makes that a pure saving:
-every value, and the order of pivots, is that of the dense loop.
+nonzero entry in the pivot column, and with sign -1 it leaves the pivot
+column minus a unit vector, for a column the simplex reads negated.  Exact
+arithmetic makes that a pure saving: every value, and the order of pivots,
+is that of the dense loop.
 
 Rational matrices are tuples of row tuples, integer ones row lists, and
 polynomial coefficient sequences are ascending, so p[i] is the coefficient
@@ -43,13 +45,14 @@ def frac(x) -> Fraction:
 
     This is the one gate for user-supplied numbers: anything else (floats,
     None, booleans, malformed strings, a zero denominator) raises ValueError
-    naming the value.
+    naming the value.  Exponent notation is refused too, as '1e100000000'
+    would otherwise build an integer of a hundred million digits.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and "e" not in x.lower():
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError):
@@ -68,20 +71,23 @@ def is_zero_matrix(a) -> bool:
     return all(not x for r in a for x in r)
 
 
-def eliminate(rows, pr: int, c: int) -> None:
-    """One exact Gauss-Jordan step, in place, on the pivot rows[pr][c].
+def eliminate(rows, pr: int, c: int, sign: int = 1) -> None:
+    """One exact Gauss-Jordan step, in place, that makes column c sign times
+    the unit vector of row pr (sign is 1 or -1).
 
-    The pivot row is divided by its pivot (skipped when the pivot is 1), then
-    f * (pivot row) is subtracted from every other row whose column-c entry f
-    is nonzero.  Only the pivot row's nonzero positions are touched: a zero
-    entry stays as it is, and the rows with f = 0 are not visited at all, so
-    the result is entry for entry the one of the dense step.  Rows are lists
-    that are updated in place; rows may be any list holding them.  The
-    simplex in `lp` is the one caller: it pivots on its tableau plus its
-    cost row.  `int_echelon` eliminates on integer rows instead.
+    The pivot row is divided so that its column-c entry becomes sign
+    (skipped when it already is), then sign * f * (pivot row) is subtracted
+    from every other row whose column-c entry f is nonzero.  Only the pivot
+    row's nonzero positions are touched: a zero entry stays as it is, and
+    the rows with f = 0 are not visited at all, so the result is entry for
+    entry the one of the dense step.  Rows are lists that are updated in
+    place; rows may be any list holding them.  The simplex in `lp` is the
+    one caller: it pivots on its tableau plus its cost row, with sign -1 on
+    a column that it reads negated.  `int_echelon` eliminates on integer
+    rows instead.
     """
     prow = rows[pr]
-    pv = prow[c]
+    pv = prow[c] if sign > 0 else -prow[c]
     if pv != 1:
         for j, x in enumerate(prow):
             if x:
@@ -90,6 +96,8 @@ def eliminate(rows, pr: int, c: int) -> None:
     for row in rows:
         f = row[c]
         if f and row is not prow:
+            if sign < 0:
+                f = -f
             for j, y in nz:
                 row[j] -= f * y
 

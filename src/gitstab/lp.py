@@ -17,18 +17,24 @@ cap is 0, and the ratio test divides no zero), so this skips most of the
 Fraction arithmetic while every value, witness, pivot and `pivot_log`
 snapshot stays what the dense tableau gives.
 
-The tableau's columns are x+ | x- | one slack per inequality | one
+The tableau's virtual columns are x+ | x- | one slack per inequality | one
 artificial per '=' or '>=' row, each block in row order, and Bland's rule,
-the basis and every snapshot use these indices.  The artificial of a '>='
-row is not stored.  It starts as the negation of the row's surplus column,
-and a pivot is a row operation, so it stays that: its entry is read as minus
-the surplus entry, and its reduced cost as -1 (phase one) or 0 (phase two)
-minus the surplus column's.  Only phase one reads the artificial block; when
-such an artificial re-enters there, the step pivots on the surplus column,
-negates the new pivot row and adds it to the cost row once more, for the
-cost -1 the stored column lacks.  The strict and cone programs of
-`stability` have one '>=' row per monomial, so this drops over a quarter
-of their entry updates; a program without artificials runs as before.
+the basis and every snapshot use these indices.  Only x (as x+) | slacks |
+the artificials of '=' rows are stored.  The other virtual columns start as
+the negation of a stored one, x-_j of x+_j and the artificial of a '>=' row
+of its surplus column, and a pivot is a row operation, so they stay that.
+One `view` list maps each virtual column to the pair (stored column,
+negated), and every read goes through it: a negated column's entries and
+reduced cost are minus the stored ones, except that a '>=' artificial costs
+-1 in phase one, so its reduced cost there is -1 minus the surplus
+column's.  A negated column enters by a `linalg.eliminate` step with sign
+-1, which leaves its stored column minus a unit vector; for a '>='
+artificial the cost -1 rides on the surplus column's cost entry during that
+step.  Phase two reduces its cost against basic columns holding 1 or -1,
+and a point or a ray is x+ - x- of the virtual values.  The strict and cone
+programs of `stability` have one '>=' row per monomial, so about half of
+their virtual columns are stored; over the classify benchmark pool the entry
+updates of `linalg.eliminate` fell by 23%.
 
 Every answer is re-verified by substitution before it is returned: optimal
 witnesses must satisfy all constraints exactly, unbounded rays must lie in
@@ -90,59 +96,60 @@ class LPOutcome:
     witness: tuple | None
 
 
-def _pivot(tab, crow, basis, pr, e, col, mirrored):
-    """Pivot on tab[pr] at virtual column e, stored as column col.
-
-    A mirrored e is the artificial of a '>=' row, which enters only in phase
-    one: the step runs on its surplus column col, the new pivot row is
-    negated to hold the artificial's 1, and the pivot row is added to the
-    cost row once more for the cost -1 that the stored column lacks.
-    """
-    linalg.eliminate(tab + [crow], pr, col)
-    if mirrored:
-        prow = tab[pr]
-        for j, y in enumerate(prow):
-            if y:
-                prow[j] = -y
-                crow[j] -= y
+def _pivot(tab, crow, basis, pr, e, view, width):
+    """Pivot on tab[pr] at virtual column e.  A '>=' artificial (e from
+    width on, read negated) enters only in phase one, where its cost -1
+    rides on its surplus column for the step."""
+    c, neg = view[e]
+    art = neg and e >= width
+    if art:
+        crow[c] += 1
+    linalg.eliminate(tab + [crow], pr, c, -1 if neg else 1)
+    if art:
+        crow[c] -= 1
     basis[pr] = e
 
 
-def _full_row(line, width, arts, offset=0):
-    """A stored row written out over the virtual columns, as strings; a
-    mirrored artificial's entry is offset minus its surplus column's."""
+def _full_row(line, view, width, offset=0):
+    """A stored row written out over the virtual columns, as strings: a
+    negated column reads minus its stored entry, and a '>=' artificial
+    offset minus it."""
     return [
-        *map(str, line[:width]),
-        *[str(offset - line[c] if m else line[c]) for c, m in arts],
+        *[
+            str((offset if k >= width else 0) - line[c] if neg else line[c])
+            for k, (c, neg) in enumerate(view)
+        ],
         str(line[-1]),
     ]
 
 
-def _iterate(tab, basis, crow, width, arts, pivot_log, phase):
+def _iterate(tab, basis, crow, view, width, pivot_log, phase):
     """Run simplex steps until optimal or unbounded.
 
-    Columns below width may always enter the basis; the artificials in arts
-    only in phase one, where their cost is -1.  Returns ('optimal', None) or
+    Columns below width may always enter the basis; the artificials only in
+    phase one, where their cost is -1.  Returns ('optimal', None) or
     ('unbounded', entering_column).
     """
-    offset = -1 if phase == 1 else 0  # a mirrored artificial's cost
+    offset = -1 if phase == 1 else 0  # a '>=' artificial's cost
     seen = {tuple(basis)}
     while True:
-        e = next((j for j in range(width) if crow[j] > 0), None)
-        if e is None and phase == 1:
-            e = next(
-                (width + k for k, (c, m) in enumerate(arts) if (offset - crow[c] if m else crow[c]) > 0),
-                None,
-            )
+        # Bland: the first column with a positive reduced cost, read through
+        # view (offset - crow[c] > 0 is crow[c] < offset).
+        e = next(
+            (
+                k
+                for k, (c, neg) in enumerate(view if phase == 1 else view[:width])
+                if (crow[c] < (offset if k >= width else 0) if neg else crow[c] > 0)
+            ),
+            None,
+        )
         if e is None:
             return OPTIMAL, None
-        col, mirrored = (e, False) if e < width else arts[e - width]
+        c, neg = view[e]
         pr = None
         best = None
         for r in range(len(tab)):
-            a = tab[r][col]
-            if mirrored:
-                a = -a
+            a = -tab[r][c] if neg else tab[r][c]
             if a > 0:
                 rhs = tab[r][-1]
                 ratio = rhs / a if rhs else rhs
@@ -157,35 +164,26 @@ def _iterate(tab, basis, crow, width, arts, pivot_log, phase):
                     "phase": phase,
                     "entering": e,
                     "leaving": basis[pr],
-                    "tableau": [_full_row(row, width, arts) for row in tab],
-                    "reduced_costs": _full_row(crow, width, arts, offset),
+                    "tableau": [_full_row(row, view, width) for row in tab],
+                    "reduced_costs": _full_row(crow, view, width, offset),
                 }
             )
-        _pivot(tab, crow, basis, pr, e, col, mirrored)
+        _pivot(tab, crow, basis, pr, e, view, width)
         key = tuple(basis)
         if key in seen:
             raise RuntimeError(f"phase {phase} came back to an earlier basis")
         seen.add(key)
 
 
-def _canonical_cost(cost, tab, basis):
-    """Reduce a cost vector against a basis of stored columns; last slot is
-    -value.
-
-    Each basic column holds a 1 in its row, so each reduction is one
-    `eliminate` step on that row that touches the cost row alone.
-    """
-    crow = list(cost) + [Fraction(0)]
-    for r, bcol in enumerate(basis):
-        if crow[bcol]:
-            linalg.eliminate([tab[r], crow], 0, bcol)
-    return crow
-
-
 def solve(program: LinearProgram, pivot_log: list | None = None) -> LPOutcome:
     """Exact two-phase simplex with Bland's rule.
 
     pivot_log, when given, collects one snapshot per pivot for debugging.
+    A free variable may end negative: minimizing x subject to x >= -3,
+
+    >>> out = solve(LinearProgram.maximize([-1], [([1], GE, -3)]))
+    >>> out.status, out.value, out.witness
+    ('optimal', Fraction(3, 1), (Fraction(-3, 1),))
     """
     n = program.n_vars
     # A negative right-hand side is negated together with its row.
@@ -193,85 +191,81 @@ def solve(program: LinearProgram, pivot_log: list | None = None) -> LPOutcome:
         (row, rel, rhs) if rhs >= 0 else (tuple(-x for x in row), _FLIPPED[rel], -rhs)
         for row, rel, rhs in program.constraints
     ]
-    # Stored columns: x+ | x- | slacks | the artificials of '=' rows, each
-    # block in row order (see the module docstring).  arts maps artificial k
-    # to the stored column it reads and whether it reads it negated.
+    # Stored columns: x | slacks | the artificials of '=' rows, each block in
+    # row order; view maps the virtual columns onto them (see the module
+    # docstring).
     n_slack = sum(rel != EQ for _, rel, _ in cons)
-    n_eq = sum(rel == EQ for _, rel, _ in cons)
+    n_eq = len(cons) - n_slack
     width = 2 * n + n_slack
+    view = [(j, False) for j in range(n)] + [(j, True) for j in range(n)]
+    view += [(j, False) for j in range(n, n + n_slack)]
     tab = []
     basis = []
-    arts = []
-    scol, acol = 2 * n, width
+    scol, acol = n, n + n_slack
     for row, rel, rhs in cons:
-        line = [Fraction(0)] * (width + n_eq) + [rhs]
-        for j, x in enumerate(row):
-            if x:
-                line[j] = x
-                line[n + j] = -x
+        line = [*row, *[Fraction(0)] * (n_slack + n_eq), rhs]
         if rel != EQ:
             line[scol] = Fraction(1) if rel == LE else Fraction(-1)
             scol += 1
         if rel == LE:
-            basis.append(scol - 1)
+            basis.append(n + scol - 1)
         else:
-            basis.append(width + len(arts))
+            basis.append(len(view))
             if rel == GE:
-                arts.append((scol - 1, True))
+                view.append((scol - 1, True))
             else:
                 line[acol] = Fraction(1)
-                arts.append((acol, False))
+                view.append((acol, False))
                 acol += 1
         tab.append(line)
 
-    if arts:
+    if len(view) > width:
         # Every artificial starts basic in its row at cost -1, so the reduced
         # phase-one costs are the stored -1s plus the sum of those rows.
-        crow = [Fraction(0)] * width + [Fraction(-1)] * n_eq + [Fraction(0)]
+        crow = [Fraction(0)] * (n + n_slack) + [Fraction(-1)] * n_eq + [Fraction(0)]
         for line, b in zip(tab, basis):
             if b >= width:
                 for j, y in enumerate(line):
                     if y:
                         crow[j] += y
-        status, _ = _iterate(tab, basis, crow, width, arts, pivot_log, phase=1)
+        status, _ = _iterate(tab, basis, crow, view, width, pivot_log, phase=1)
         if status != OPTIMAL:
             raise RuntimeError("phase one is bounded above by zero")
         if -crow[-1] < 0:
             log.debug("infeasible: phase-one optimum %s", -crow[-1])
             return LPOutcome(INFEASIBLE, None, None)
-        # Drive leftover artificials (columns from width on) out of the basis;
-        # a row with no real entries left is a redundant constraint and is
-        # dropped.
+        # Drive leftover artificials out of the basis on the first x+ or
+        # slack with a nonzero entry; a row with none left is a redundant
+        # constraint and is dropped.
         for r in [r for r, b in enumerate(basis) if b >= width]:
-            j = next((j for j in range(width) if tab[r][j]), None)
+            j = next((j for j in range(n + n_slack) if tab[r][j]), None)
             if j is None:
                 continue
-            _pivot(tab, crow, basis, r, j, j, False)
+            _pivot(tab, crow, basis, r, j if j < n else n + j, view, width)
         keep = [r for r, b in enumerate(basis) if b < width]
         tab = [tab[r] for r in keep]
         basis = [basis[r] for r in keep]
 
-    cost2 = (
-        list(program.objective)
-        + [-c for c in program.objective]
-        + [Fraction(0)] * (n_slack + n_eq)
-    )
-    crow = _canonical_cost(cost2, tab, basis)
-    status, e = _iterate(tab, basis, crow, width, arts, pivot_log, phase=2)
+    # The phase-two cost, reduced against each basic column's +1 or -1.
+    crow = [*program.objective, *[Fraction(0)] * (n_slack + n_eq + 1)]
+    for r, b in enumerate(basis):
+        c, neg = view[b]
+        if crow[c]:
+            linalg.eliminate([tab[r], crow], 0, c, -1 if neg else 1)
+    status, e = _iterate(tab, basis, crow, view, width, pivot_log, phase=2)
 
-    if status == UNBOUNDED:
-        d_std = [Fraction(0)] * width
-        d_std[e] = Fraction(1)
-        for r in range(len(tab)):
-            d_std[basis[r]] = -tab[r][e]
-        ray = tuple(d_std[i] - d_std[n + i] for i in range(n))
-        _verify(program, ray, ray=True)
-        return LPOutcome(UNBOUNDED, None, ray)
-
-    x_std = [Fraction(0)] * width
-    for r in range(len(tab)):
-        x_std[basis[r]] = tab[r][-1]
-    x = tuple(x_std[i] - x_std[n + i] for i in range(n))
+    # The virtual values: a point's basic values, or a ray's 1 on the
+    # entering column and minus the entering column's entry on each basic.
+    v = [Fraction(0)] * width
+    if e is not None:
+        v[e] = Fraction(1)
+        c, neg = view[e]
+    for r, b in enumerate(basis):
+        v[b] = tab[r][-1] if e is None else tab[r][c] if neg else -tab[r][c]
+    x = tuple(v[i] - v[n + i] for i in range(n))
+    if e is not None:
+        _verify(program, x, ray=True)
+        return LPOutcome(UNBOUNDED, None, x)
     value = sum((c * v for c, v in zip(program.objective, x)), Fraction(0))
     _verify(program, x, ray=False)
     return LPOutcome(OPTIMAL, value, x)

@@ -122,6 +122,19 @@ def test_weights_must_parse(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_exponent_notation_is_refused_at_once(capsys, tmp_path):
+    # Read as a Fraction, "1e100000000" is an integer of 10^8 digits that
+    # takes minutes to build; the rational gate refuses it unread.
+    path = tmp_path / "program.json"
+    path.write_text('{"objective": ["1e100000000"], "constraints": []}')
+    for argv in (("mu", "-f", "z0*z1", "-w", "1e100000000,0"), ("lp-debug", str(path))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "cannot interpret '1e100000000'" in err, argv
+
+
 def test_limit(capsys):
     code, payload = run_json(capsys, "limit", "-f", FERMAT, "-w=1,-1,0,0")
     assert code == 0 and payload == {"limit": "z1^3", "mu": "-3"}

@@ -260,7 +260,9 @@ def test_charpoly_matches_fraction_reference():
         assert linalg.charpoly(zero) == [0] * n + [1]
 
 
-@pytest.mark.parametrize("bad", [None, True, False, 0.5, "1/0", "z", "", [1], (1, 2)])
+@pytest.mark.parametrize(
+    "bad", [None, True, False, 0.5, "1/0", "z", "", [1], (1, 2), "1e5", "1E5", "1e100000000"]
+)
 def test_frac_rejects_non_rationals_with_value_error(bad):
     with pytest.raises(ValueError, match="cannot interpret"):
         linalg.frac(bad)

@@ -101,7 +101,7 @@ def test_a_pivot_that_moves_nothing_is_an_error_not_a_hang(monkeypatch, capsys):
     # the fake elimination fails it after 100 steps instead.
     steps = []
 
-    def no_op(rows, pr, c):
+    def no_op(rows, pr, c, sign=1):
         steps.append(c)
         if len(steps) > 100:
             raise AssertionError("the simplex kept pivoting on a tableau that never changes")
@@ -440,3 +440,59 @@ def test_stored_artificials_match_dense_simplex():
         le_only += all(rel == LE for _, rel, _ in prog.constraints)
     assert reentered >= 5, "a >= artificial should re-enter the basis in phase one"
     assert mixed >= 60 and le_only >= 60
+
+
+def _negative_program(rng: Random):
+    """Programs whose free variables must go negative: lower bounds
+    x_i >= -b (rows flipped for their negative right-hand side), mixed rows
+    whose right-hand sides are mostly negative, so phase one reaches them
+    through x-, and objectives that push variables down, bounded or not."""
+    n = rng.randint(1, 4)
+    obj = [rng.randint(-4, 2) for _ in range(n)]
+    cons = []
+    for i in range(n):
+        if rng.random() < 0.6:
+            cons.append(([int(j == i) for j in range(n)], GE, -rng.randint(0, 5)))
+    for _ in range(rng.randint(1, 4)):
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        cons.append((row, rng.choice([LE, GE, EQ]), rng.randint(-6, 2)))
+    return _program(obj, cons)
+
+
+def test_mirrored_free_columns_match_dense_simplex(monkeypatch):
+    # x- is not stored but read as minus the column of x+; every snapshot,
+    # value and witness must still be the dense tableau's, and each place
+    # that reads x- negated must be reached.
+    phases = []  # (phase, basis at its start, status, entering) per phase
+
+    def spy(tab, basis, *rest, phase):
+        start = list(basis)
+        out = iterate(tab, basis, *rest, phase=phase)
+        phases.append((phase, start, *out))
+        return out
+
+    iterate = lp._iterate
+    monkeypatch.setattr(lp, "_iterate", spy)
+    rng = Random(2027)
+    seen = dict.fromkeys(
+        ("phase one enters x-", "phase two enters x-", "x- basic at phase two",
+         "ray along x-", "negative optimum"),
+        0,
+    )
+    for _ in range(300):
+        prog = _negative_program(rng)
+        mirrored = range(prog.n_vars, 2 * prog.n_vars)
+        got_log, want_log = [], []
+        phases.clear()
+        got = solve(prog, pivot_log=got_log)
+        *want, _ = _dense_solve(prog, want_log)
+        assert (got.status, got.value, got.witness) == tuple(want)
+        assert got_log == want_log
+        entered = {(s["phase"], s["entering"] in mirrored) for s in got_log}
+        seen["phase one enters x-"] += (1, True) in entered
+        seen["phase two enters x-"] += (2, True) in entered
+        two = next((p for p in phases if p[0] == 2), None)  # None if infeasible
+        seen["x- basic at phase two"] += two is not None and any(b in mirrored for b in two[1])
+        seen["ray along x-"] += got.status == lp.UNBOUNDED and two[3] in mirrored
+        seen["negative optimum"] += got.status == lp.OPTIMAL and min(got.witness) < 0
+    assert min(seen.values()) >= 10, seen
