@@ -90,14 +90,15 @@ MUTANTS = (
         ("tests/test_degeneration.py", "-k", "nilpotent or jordan"),
         120,
     ),
-    # The squarefree factor of B's characteristic polynomial left with a
-    # leading coefficient of -1.
+    # The weight floor taken at the top of the spectrum: build_degeneration
+    # is the one place the floor is normalized, from_destabilizer's
+    # families included.
     Mutant(
-        "monic-sign",
+        "weight-floor",
         DEGENERATION,
-        "if q[-1] < 0:",
-        "if False:",
-        ("tests/test_degeneration.py",),
+        "floor = min(spectrum)",
+        "floor = max(spectrum)",
+        ("tests/test_degeneration.py", "-k", "floor_normalized"),
         120,
     ),
     # Twice the gcd divided out, with the exact-division check removed.
@@ -281,7 +282,7 @@ MUTANTS = (
     Mutant(
         "strict-trace-row",
         STABILITY,
-        "strict = [(ones + (Fraction(0),), lp.EQ, 0)]",
+        "strict = [(ones + (0,), lp.EQ, 0)]",
         "strict = []",
         ("tests/test_stability.py",),
         120,

@@ -48,7 +48,7 @@ from .vfield import (
     rational_diagonalize,
     substitute_integer,
 )
-from .weights import WeightVector, mu, weight_spectrum
+from .weights import WeightVector, weight_spectrum
 
 log = LazyLogger(__name__)
 
@@ -173,16 +173,15 @@ def _eigenbasis(f: HPoly, v: LinearVectorField):
     the reason there is none as a message.  The caller raises it, so the
     traceback a kept DegenerationError carries ends in build_degeneration and
     does not hold this frame's Chevalley split.  The work runs on B = D*v,
-    with v's eigenvectors and D times its eigenvalues, and on the monic
-    squarefree factor q of its characteristic polynomial.  B is split into
+    with v's eigenvectors and D times its eigenvalues, and on the squarefree
+    factor q of its characteristic polynomial, an integer polynomial with
+    leading coefficient +-1 that every step reads up to sign.  B is split into
     (M + N)/e on integers, which also tests semisimplicity: N = 0 exactly
     when q(B) = 0.  A nonzero N must annihilate f, whose coefficients are
     scaled to integers for the test, and the semisimple part goes on as M,
     its factor e^k q(x/e) and the denominator D*e."""
     b, den = linalg.integer_matrix(v.rows)
     q = linalg.int_squarefree(linalg.charpoly(b))
-    if q[-1] < 0:  # a primitive factor of a monic integer polynomial ends in +-1
-        q = [-c for c in q]
     b, nil, e = chevalley_split(b, q)
     if not linalg.is_zero_matrix(nil):
         coeffs = linalg.clear_denominators(f.terms.values())[0]
@@ -203,9 +202,9 @@ def _eigenbasis(f: HPoly, v: LinearVectorField):
 def from_destabilizer(f: HPoly, lmbda: WeightVector) -> DegenerationReport:
     """Degeneration along d*lambda - mu*ones for an integer trace-zero lambda.
 
-    This rescaled generator has integer weights with floor zero, so the
-    family needs no further normalization; lambda = 0 gives the trivial
-    family over f itself.
+    `build_degeneration` takes d*lambda and its floor step makes the
+    generator d*lambda - mu*ones (each monomial has degree d, so the floor
+    of d*lambda is d*mu); lambda = 0 gives the trivial family over f itself.
     """
     if len(lmbda) != f.n_vars:
         raise ValueError("weight vector length does not match the polynomial")
@@ -213,9 +212,7 @@ def from_destabilizer(f: HPoly, lmbda: WeightVector) -> DegenerationReport:
         raise ValueError("destabilizer weights must be integers")
     if lmbda.trace != 0:
         raise ValueError(f"destabilizer must be trace-zero, got trace {lmbda.trace}")
-    floor = mu(lmbda, f)
-    gen = lmbda.scaled(f.degree).shifted(-floor)
-    return build_degeneration(f, LinearVectorField.diagonal(gen.values))
+    return build_degeneration(f, LinearVectorField.diagonal(lmbda.scaled(f.degree).values))
 
 
 @record

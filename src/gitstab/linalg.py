@@ -5,9 +5,8 @@ anywhere.  Every matrix kernel runs on integers: the product `int_mul`,
 Faddeev-LeVerrier `charpoly` and Horner `int_poly_eval` on integer
 matrices, the fraction-free Gauss-Jordan `int_echelon` (Bareiss 1968) with
 `nullspace`, `int_inverse` and `rank` on it, and `int_squarefree`, whose gcd
-is a primitive remainder sequence (`poly_primitive_gcd`).  `charpoly` and
-`nullspace` keep the names of the Fraction kernels they replaced, which are
-the names the benchmark tracer (`perfbench/tracer.py`) wraps.  The
+is a primitive remainder sequence (`poly_primitive_gcd`).  The benchmark
+tracer (`perfbench/tracer.py`) wraps `charpoly` and `nullspace` by name.  The
 degeneration path, the Newton step of the Chevalley split included, calls
 them on one `integer_matrix` per field and builds its Fractions once, at its
 end; `lp.kernel` is `nullspace` on a form's exponent rows.
@@ -308,11 +307,3 @@ def primitive(ints):
     g = gcd(*ints) or 1
     return [x // g for x in ints]
 
-
-def primitive_integer_vector(values):
-    """Positive rescaling of a rational vector to coprime integers.
-
-    The zero vector maps to itself.  The scaling factor is always positive,
-    so sign patterns survive.
-    """
-    return tuple(primitive(clear_denominators(values)[0]))

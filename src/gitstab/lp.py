@@ -33,8 +33,7 @@ artificial the cost -1 rides on the surplus column's cost entry during that
 step.  Phase two reduces its cost against basic columns holding 1 or -1,
 and a point or a ray is x+ - x- of the virtual values.  The strict and cone
 programs of `stability` have one '>=' row per monomial, so about half of
-their virtual columns are stored; over the classify benchmark pool the entry
-updates of `linalg.eliminate` fell by 23%.
+their virtual columns are stored.
 
 Every answer is re-verified by substitution before it is returned: optimal
 witnesses must satisfy all constraints exactly, unbounded rays must lie in

@@ -143,8 +143,9 @@ def chevalley_split(b, q) -> tuple:
     nilpotent parts, as integers (M, N, e): the parts are M/e and N/e, with
     e > 0 and N = e*B - M.
 
-    q is the monic integer squarefree factor of B's characteristic
-    polynomial.  The semisimple part is a polynomial in B, the root of q
+    q is the integer squarefree factor of B's characteristic polynomial,
+    with leading coefficient +-1; the Newton step and the test Q = 0 read it
+    up to sign.  The semisimple part is a polynomial in B, the root of q
     that Newton's iteration x <- x - q(x) q'(x)^-1 reaches from x = B (when
     q(B) = 0 already, B is semisimple: M = B, N = 0, e = 1).  Each step runs
     on x = M/e: the homogenized Horner sums Q = e^k q(M/e) and
@@ -231,26 +232,22 @@ def _squarefree_mod(c, p) -> bool:
     return len(a) == 1
 
 
-def _rational_roots(psf):
-    """Roots of a squarefree rational polynomial in decreasing order, or None
-    if it does not split into linear factors over Q; ints for a monic
-    integer polynomial.
+def _rational_roots(q):
+    """Roots of a squarefree integer polynomial q with leading coefficient
+    +-1, as `linalg.int_squarefree` returns it, in decreasing order; None if
+    q does not split into linear factors over Q.
 
-    Exact p-adic root finding (Loos 1983).  With coprime integer coefficients
-    c of degree k and leading coefficient a, q(y) = a^(k-1) c(y/a) is
-    monic with integer coefficients, so its rational roots are integers y
-    bounded by the Cauchy bound 1 + max|q_i|.  For the first prime p modulo
-    which q stays squarefree, q splits over Q only if it has k distinct roots
-    mod p; each is simple, so Hensel lifting determines the candidate integer
+    Exact p-adic root finding (Loos 1983).  The rational roots of q are
+    integers bounded by the Cauchy bound 1 + max|q_i|, and every test below
+    reads q up to sign.  For the first prime p modulo which q stays
+    squarefree, q splits over Q only if it has k = deg q distinct roots mod
+    p; each is simple, so Hensel lifting determines the candidate integer
     root modulo p^e > twice the bound, and an exact evaluation accepts it.
     Such a prime exists because only the finitely many primes dividing the
     discriminant fail; when the first prime fails, gcd(q, q') over Q is
     checked once and a polynomial that is not squarefree raises ValueError.
     """
-    c = linalg.primitive(linalg.clear_denominators(psf)[0])
-    k = len(c) - 1
-    a = c[-1]
-    q = [x * a ** (k - 1 - i) for i, x in enumerate(c[:-1])] + [1]
+    k = len(q) - 1
     dq = [i * x for i, x in enumerate(q) if i]
     primes = _primes()
     p = next(primes)
@@ -272,13 +269,14 @@ def _rational_roots(psf):
         if _horner(q, y):
             return None
         roots.append(y)
-    return sorted(roots if a == 1 else [Fraction(y, a) for y in roots], reverse=True)
+    return sorted(roots, reverse=True)
 
 
 def rational_diagonalize(b, q, den: int):
     """(weights, basis, P, L) diagonalizing the rational matrix B/den, for an
-    integer matrix B and the monic integer squarefree q with q(B) = 0, or
-    None when q has an irrational root (unsupported here, not an error).
+    integer matrix B and the squarefree integer q with leading coefficient
+    +-1 and q(B) = 0, or None when q has an irrational root (unsupported
+    here, not an error).
 
     The eigenspaces are the `linalg.nullspace`s of B - rI for the integer
     roots r of q.  The columns of the integer matrix P are L times the

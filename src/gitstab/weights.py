@@ -86,7 +86,8 @@ class WeightVector:
 
     def primitive_integer(self) -> "WeightVector":
         """Positive rescaling to coprime integer entries (zero stays zero)."""
-        return WeightVector.from_values(linalg.primitive_integer_vector(self.values))
+        ints = linalg.primitive(linalg.clear_denominators(self.values)[0])
+        return WeightVector.from_values(ints)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.values)

@@ -225,8 +225,8 @@ def is_nilpotent(a) -> bool:
 
 
 def fraction_chevalley_split(a, psf):
-    """(s, n) for a rational matrix a and the monic squarefree factor psf of
-    its characteristic polynomial, by Newton's iteration
+    """(s, n) for a rational matrix a and a squarefree factor psf of its
+    characteristic polynomial, by Newton's iteration
     x <- x - psf(x) psf'(x)^-1 on Fraction matrices from x = a, capped at
     ceil(log2 n) + 2 steps: the plain reference for vfield.chevalley_split,
     which runs the same iteration on integers."""
@@ -243,23 +243,23 @@ def fraction_chevalley_split(a, psf):
     return s, tuple(tuple(Fraction(x) - y for x, y in zip(ra, rs)) for ra, rs in zip(a, s))
 
 
-def monic_squarefree_factor(b):
-    """The monic integer squarefree factor q of an integer matrix's
-    characteristic polynomial, as degeneration._eigenbasis takes it."""
+def squarefree_factor(b):
+    """The integer squarefree factor q of an integer matrix's characteristic
+    polynomial, leading coefficient +-1, as degeneration._eigenbasis takes
+    it."""
     from gitstab import linalg
 
-    q = linalg.int_squarefree(linalg.charpoly(b))
-    return q if q[-1] > 0 else [-c for c in q]
+    return linalg.int_squarefree(linalg.charpoly(b))
 
 
 def integer_split(v):
     """(s, n) of a LinearVectorField: vfield.chevalley_split on B = D*v and
-    its monic squarefree factor, with the parts M/e and N/e of B divided by D
+    its squarefree factor, with the parts M/e and N/e of B divided by D
     into Fraction matrices."""
     from gitstab import linalg, vfield
 
     b, den = linalg.integer_matrix(v.rows)
-    m, nil, e = vfield.chevalley_split(b, monic_squarefree_factor(b))
+    m, nil, e = vfield.chevalley_split(b, squarefree_factor(b))
     return tuple(
         tuple(tuple(Fraction(x, den * e) for x in row) for row in part) for part in (m, nil)
     )

@@ -773,35 +773,22 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gitstab", "stability", "-f", FERMAT, "--json"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "gitstab", "stability", "-f", FERMAT, "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["class"] == "stable"
 
 
-def test_log_env_var_enables_debug_output():
+def test_log_env_var_enables_debug_output(monkeypatch):
     rows = "[[0,1,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]]"
-    env = dict(os.environ, GITSTAB_LOG="DEBUG")
-    proc = subprocess.run(
-        [sys.executable, "-m", "gitstab", "degenerate", "-f", FERMAT, "--field", rows],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    monkeypatch.setenv("GITSTAB_LOG", "DEBUG")
+    proc = run_python("-m", "gitstab", "degenerate", "-f", FERMAT, "--field", rows)
     assert proc.returncode == 0
     assert "eigenbasis" in proc.stderr
     assert proc.stderr.startswith(
         "DEBUG gitstab.degeneration: rewrote polynomial in an eigenbasis; weights "
     )
-    quiet = subprocess.run(
-        [sys.executable, "-m", "gitstab", "degenerate", "-f", FERMAT, "--field", rows],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, GITSTAB_LOG=""),
-    )
+    monkeypatch.setenv("GITSTAB_LOG", "")
+    quiet = run_python("-m", "gitstab", "degenerate", "-f", FERMAT, "--field", rows)
     assert quiet.returncode == 0 and "eigenbasis" not in quiet.stderr
 
 

@@ -20,17 +20,17 @@ from gitstab.degeneration import (
 from gitstab.futaki import FutakiValue
 from gitstab.poly import HPoly
 from gitstab.vfield import LinearVectorField, apply_derivation, chevalley_split, substitute_linear
-from gitstab.weights import WeightVector, limit_poly, weight_spectrum
+from gitstab.weights import WeightVector, limit_poly, mu, weight_spectrum
 from helpers import (
     conjugate,
     fraction_chevalley_split,
     hp,
     integer_split,
-    monic_squarefree_factor,
     random_hpoly,
     random_invertible,
     random_trace_zero_ints,
     rational_charpoly,
+    squarefree_factor,
     squarefree_part,
 )
 
@@ -123,6 +123,21 @@ def test_degenerations_along_random_destabilizers():
         assert rep.trivial == (len(weight_spectrum(lam, f)) == 1)
         if not lam.is_zero:
             assert rep.normalized_trace_zero_generator == lam.primitive_integer()
+
+
+def test_from_destabilizer_is_the_floor_normalized_field():
+    # from_destabilizer hands d*lambda to build_degeneration, whose floor
+    # step alone makes the generator d*lambda - mu*ones, of floor zero.
+    rng = Random(1709)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        f = random_hpoly(rng, n, rng.randint(2, 4), 10)
+        lam = random_trace_zero_ints(rng, n)
+        gen = lam.scaled(f.degree).shifted(-mu(lam, f))
+        want = build_degeneration(f, LinearVectorField.diagonal(gen.values))
+        rep = from_destabilizer(f, lam)
+        assert rep == want and rep.to_json() == want.to_json()
+        assert rep.family.generator == gen and mu(gen, f) == 0
 
 
 def _fiber_terms(family, s):
@@ -317,7 +332,7 @@ def test_a_singular_eigenbasis_is_an_internal_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "psf",
-    [(Fraction(-1), 0, 1), (0, Fraction(2), Fraction(-3), 1)],  # x^2 - 1, x(x - 1)(x - 2)
+    [(-1, 0, 1), (0, 2, -3, 1)],  # x^2 - 1, x(x - 1)(x - 2)
     ids=["missing-root", "wrong-root"],
 )
 def test_a_wrong_squarefree_factor_ends_in_runtime_error(monkeypatch, psf):
@@ -392,7 +407,7 @@ def test_integer_split_matches_the_fraction_newton():
         s, nil = fraction_chevalley_split(v.rows, squarefree_part(rational_charpoly(v.rows)))
         assert integer_split(v) == (s, nil)
         b, _ = linalg.integer_matrix(v.rows)
-        q = monic_squarefree_factor(b)
+        q = squarefree_factor(b)
         split = chevalley_split(b, q)
         assert split == _fraction_newton(b, q)
         got = _answer(f, v)
@@ -408,7 +423,10 @@ def test_integer_split_matches_the_fraction_newton():
         seen.add((irrational, moves))
         if split[2] > 1:
             seen.add("denominator")
-    assert seen == {(False, False), (False, True), (True, False), (True, True), "denominator"}
+        if q[-1] < 0:
+            seen.add("leading -1")
+    want = {(False, False), (False, True), (True, False), (True, True), "denominator", "leading -1"}
+    assert seen == want
 
 
 def test_nilpotent_part_moving_f_is_rejected():

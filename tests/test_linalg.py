@@ -218,11 +218,8 @@ def test_squarefree_part_matches_fraction_reference():
         linalg.int_squarefree([0])
 
 
-def test_primitive_integer_vector():
-    assert linalg.primitive_integer_vector([Fraction(-21), 15, 3, 3]) == (-7, 5, 1, 1)
-    assert linalg.primitive_integer_vector([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
-    assert linalg.primitive_integer_vector([0, 0]) == (0, 0)
-    # the integer half: gcd removal keeps signs, and zero stays zero
+def test_primitive():
+    # gcd removal keeps signs, and zero stays zero
     assert linalg.primitive([0, 0, 0]) == [0, 0, 0]
     assert linalg.primitive([-6, 4, -2]) == [-3, 2, -1]
     assert linalg.primitive([-9]) == [-1] and linalg.primitive([9]) == [1]

@@ -31,7 +31,6 @@ from helpers import (
     hp,
     integer_split,
     is_nilpotent,
-    monic_squarefree_factor,
     naive_derivation,
     naive_multiply,
     random_binomial_sum,
@@ -41,6 +40,7 @@ from helpers import (
     random_weights,
     rational_charpoly,
     run_python,
+    squarefree_factor,
     squarefree_part,
 )
 
@@ -295,7 +295,7 @@ def test_rational_diagonalize_irrational_returns_none():
 
 def test_chevalley_semisimple_field_has_zero_nilpotent_part():
     b = [[0, 1, 0], [1, 0, 0], [0, 0, 5]]
-    assert chevalley_split(b, monic_squarefree_factor(b)) == (b, [[0] * 3] * 3, 1)
+    assert chevalley_split(b, squarefree_factor(b)) == (b, [[0] * 3] * 3, 1)
 
 
 def test_chevalley_and_diagonalize_accept_a_known_squarefree_factor():
@@ -445,29 +445,28 @@ def test_rational_diagonalize_random_conjugates():
         assert conjugate(basis, m) == LinearVectorField.diagonal(weights).rows
 
 
-def _from_roots(roots):
-    """Ascending coefficients of prod (x - r)."""
-    p = [Fraction(1)]
+def _from_roots(roots, lead=1):
+    """Ascending integer coefficients of lead * prod (x - r)."""
+    p = [lead]
     for r in roots:
-        p = [Fraction(0)] + p
+        p = [0] + p
         for i in range(len(p) - 1):
             p[i] -= r * p[i + 1]
-    return tuple(p)
+    return p
 
 
 def test_rational_roots_split_golden():
-    F = Fraction
-    # 7x - 3 once denominators are cleared
-    assert _rational_roots(_from_roots([F(3, 7)])) == [F(3, 7)]
-    # -x + 2: a negative leading coefficient
-    assert _rational_roots((F(2), F(-1))) == [2]
+    assert _rational_roots([-2, 1]) == [2]
+    # -x + 2: a leading coefficient of -1
+    assert _rational_roots([2, -1]) == [2]
     assert _rational_roots(_from_roots([0, 1])) == [1, 0]
-    # 6x^2 + x - 2
-    assert _rational_roots(_from_roots([F(1, 2), F(-2, 3)])) == [F(1, 2), F(-2, 3)]
-    eight = [-4, -3, -1, 0, F(1, 2), 2, F(5, 3), 7]
-    assert _rational_roots(_from_roots(eight)) == sorted(map(F, eight), reverse=True)
-    big = [10**12 - 11, -(10**12) - 39, F(10**12 + 3, 7)]
-    assert _rational_roots(_from_roots(big)) == sorted(map(F, big), reverse=True)
+    eight = [-4, -3, -1, 0, 1, 2, 5, 7]
+    for lead in (1, -1):
+        assert _rational_roots(_from_roots(eight, lead)) == sorted(eight, reverse=True)
+    # roots far above 2^32: the Hensel lift runs several squarings
+    big = [10**12 - 11, -(10**12) - 39, 10**12 + 3]
+    for lead in (1, -1):
+        assert _rational_roots(_from_roots(big, lead)) == sorted(big, reverse=True)
 
 
 _NOT_SQUAREFREE = """\
@@ -497,37 +496,37 @@ def test_rational_roots_refuses_a_non_squarefree_polynomial_in_bounded_time():
 
 
 def test_rational_roots_non_split_golden():
-    F = Fraction
-    assert _rational_roots((F(1), F(0), F(1))) is None  # x^2 + 1
+    assert _rational_roots([1, 0, 1]) is None  # x^2 + 1
+    assert _rational_roots([-1, 0, -1]) is None  # -(x^2 + 1)
     # x^2 - 7 is (x + 1)^2 mod 2 and (x - 1)(x + 1) mod 3, so both roots
     # mod 3 are lifted and then fail the exact check.
-    x2m7 = (F(-7), F(0), F(1))
-    assert not _squarefree_mod([-7, 0, 1], 2) and _squarefree_mod([-7, 0, 1], 3)
+    x2m7 = [-7, 0, 1]
+    assert not _squarefree_mod(x2m7, 2) and _squarefree_mod(x2m7, 3)
     assert _rational_roots(x2m7) is None
+    assert _rational_roots([-c for c in x2m7]) is None
     # a rational root next to an irreducible quadratic
-    assert _rational_roots((F(-2), F(1), F(-2), F(1))) is None  # (x - 2)(x^2 + 1)
+    assert _rational_roots([-2, 1, -2, 1]) is None  # (x - 2)(x^2 + 1)
 
 
 def test_rational_roots_against_sympy():
     sympy = pytest.importorskip("sympy", exc_type=ImportError)
     x = sympy.Symbol("x")
     rng = Random(44)
-    verdicts = set()
+    verdicts, signs = set(), set()
     for _ in range(300):
         k = rng.randint(1, 6)
+        lead = rng.choice((1, -1))
         if rng.random() < 0.5:
             roots = set()
             while len(roots) < k:
-                big = rng.random() < 0.3
-                top = 10**12 if big else 12
-                roots.add(Fraction(rng.randint(-top, top), rng.randint(1, 10**6 if big else 5)))
-            p = _from_roots(roots)
+                top = 10**12 if rng.random() < 0.3 else 12
+                roots.add(rng.randint(-top, top))
+            p = _from_roots(roots, lead)
         else:
-            p = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(k))
-            p += (Fraction(1),)
-        psf = squarefree_part(p)
-        ints, _ = linalg.clear_denominators(psf)
-        _, factors = sympy.Poly(list(reversed(ints)), x, domain="QQ").factor_list()
+            p = [rng.randint(-20, 20) for _ in range(k)] + [lead]
+        q = linalg.int_squarefree(p)  # leading coefficient +-1, as callers pass it
+        signs.add(q[-1])
+        _, factors = sympy.Poly(list(reversed(q)), x, domain="QQ").factor_list()
         if all(fac.degree() == 1 for fac, _ in factors):
             want = sorted(
                 (-Fraction(int(b.p), int(b.q)) / Fraction(int(a.p), int(a.q))
@@ -536,9 +535,9 @@ def test_rational_roots_against_sympy():
             )
         else:
             want = None
-        assert _rational_roots(psf) == want
+        assert _rational_roots(q) == want
         verdicts.add(want is None)
-    assert verdicts == {True, False}
+    assert verdicts == {True, False} and signs == {1, -1}
 
 
 def test_substitute_linear_golden():

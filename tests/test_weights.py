@@ -32,6 +32,16 @@ def test_vector_helpers():
         WeightVector.parse("1/2,0").as_ints()
 
 
+def test_primitive_integer():
+    # a positive rescaling to coprime integers: signs survive, zero stays zero
+    def prim(*values):
+        return WeightVector.from_values(values).primitive_integer()
+
+    assert prim(Fraction(-21), 15, 3, 3) == WeightVector.parse("-7,5,1,1")
+    assert prim(Fraction(1, 2), Fraction(-1, 3)) == WeightVector.parse("3,-2")
+    assert prim(0, 0) == WeightVector.parse("0,0")
+
+
 def test_mu_golden():
     f = hp("z0*z1^2 + z2^2*z3 - z2*z3^2 + z1*z2*z3", 4)
     lam = WeightVector.parse("-7,5,1,1")
