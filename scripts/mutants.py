@@ -41,7 +41,7 @@ Mutant = namedtuple("Mutant", "name path snippet replacement tests limit")
 
 VFIELD, LINALG = "src/gitstab/vfield.py", "src/gitstab/linalg.py"
 STABILITY, FUTAKI = "src/gitstab/stability.py", "src/gitstab/futaki.py"
-LP = "src/gitstab/lp.py"
+LP, BOXSCAN = "src/gitstab/lp.py", "src/gitstab/boxscan.py"
 WRONG_KERNELS = ("tests/test_degeneration.py", "-k", "wrong")
 FRACTION_FREE = ("tests/test_linalg.py", "-k", "fraction_free")
 DENSE_SIMPLEX = ("tests/test_lp.py", "-k", "dense_simplex")
@@ -269,6 +269,15 @@ MUTANTS = (
         ("tests/test_stability.py",),
         120,
     ),
+    # The zero vector taken for a witness: it fixes every form.
+    Mutant(
+        "verdict-zero-witness",
+        STABILITY,
+        "not any(lam) or ",
+        "",
+        ("tests/test_stability.py",),
+        120,
+    ),
     # The decision program's rows in trace-zero coordinates, and the strict
     # program's trace row.
     Mutant(
@@ -354,10 +363,28 @@ MUTANTS = (
     # The box enumerator letting the last coordinate reach bound + 1.
     Mutant(
         "box-bound",
-        "src/gitstab/boxscan.py",
+        BOXSCAN,
         "if last < -bound or last > bound:",
         "if last < -bound or last > bound + 1:",
         ("tests/test_boxscan.py",),
+        120,
+    ),
+    # The scan's fixing basis keeping a vector that does not raise the rank,
+    # and stopping one vector short of the trace-zero hyperplane.
+    Mutant(
+        "fixing-rank-test",
+        BOXSCAN,
+        "rank(basis + [v]) > len(basis)",
+        "rank(basis + [v]) >= len(basis)",
+        ("tests/test_boxscan.py", "tests/test_stability.py"),
+        120,
+    ),
+    Mutant(
+        "fixing-rank-cap",
+        BOXSCAN,
+        "if len(basis) < n_vars - 1:",
+        "if len(basis) < n_vars - 2:",
+        ("tests/test_boxscan.py", "tests/test_stability.py"),
         120,
     ),
     # The Futaki closed form with its sign flipped, and the Fano range

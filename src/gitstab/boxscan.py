@@ -8,19 +8,20 @@ coordinate forced by the zero-sum condition); the crosscheck walks it too.
   * the first vector whose weights are all positive,
   * the first vector whose weights are all non-negative with at least one
     positive,
-  * an integer row-echelon basis of the span of the vectors whose weights all
-    vanish.
+  * a basis of the span of the vectors whose weights all vanish: the first
+    such vectors, each made primitive, that raise the rank of those kept
+    (`linalg.rank`), tested until it holds n-1 of them, the dimension of the
+    trace-zero hyperplane.
 
 All arithmetic is on plain Python ints.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from itertools import product
 from operator import mul
 
-from .linalg import primitive
+from .linalg import primitive, rank
 from .record import record
 
 # Read by perfbench/run.py's run metadata; there is no compiled kernel.
@@ -35,7 +36,7 @@ class BoxScanResult:
     scanned: int
     strict: tuple | None  # first vector with all support weights positive
     semi: tuple | None  # first vector with weights >= 0, at least one > 0
-    fixing_basis: tuple  # integer echelon basis of the vectors with all weights zero
+    fixing_basis: tuple  # first primitive vectors with all weights zero spanning them all
 
 
 def check_box_size(n_vars: int, bound: int):
@@ -46,28 +47,6 @@ def check_box_size(n_vars: int, bound: int):
         raise ValueError(
             f"enumeration box has {count} candidates, above the {MAX_CANDIDATES} limit"
         )
-
-
-def _absorb(basis, vec):
-    """Reduce vec against the echelon basis; extend the basis if independent.
-
-    basis holds (pivot_index, row) pairs sorted by pivot index.  Rows are
-    gcd-normalized with a positive pivot.  Returns True when vec enlarged the
-    span.
-    """
-    v = list(vec)
-    for pivot, row in basis:
-        c = v[pivot]
-        if c:
-            p = row[pivot]
-            v = primitive([a * p - b * c for a, b in zip(v, row)])
-    pivot = next((i for i, a in enumerate(v) if a), None)
-    if pivot is None:
-        return False
-    if v[pivot] < 0:
-        v = [-a for a in v]
-    insort(basis, (pivot, primitive(v)))
-    return True
 
 
 def iter_trace_zero_box(n_vars: int, bound: int):
@@ -106,10 +85,13 @@ def scan_box(gammas, n_vars: int, bound: int) -> BoxScanResult:
             weights.append(w)
         else:  # no weight is negative
             if not max(weights):
-                _absorb(basis, lam)
+                if len(basis) < n_vars - 1:
+                    v = primitive(lam)
+                    if rank(basis + [v]) > len(basis):
+                        basis.append(v)
                 continue
             if semi is None:
                 semi = lam
             if strict is None and min(weights) > 0:
                 strict = lam
-    return BoxScanResult(scanned, strict, semi, tuple(tuple(row) for _, row in basis))
+    return BoxScanResult(scanned, strict, semi, tuple(map(tuple, basis)))

@@ -24,7 +24,7 @@ from . import lp
 from .degeneration import build_degeneration, from_destabilizer, theorem_crosscheck
 from .futaki import futaki_of_limit
 from .lazylog import configure_on_first_use
-from .linalg import frac, integer_matrix, require_invertible
+from .linalg import integer_matrix, require_invertible
 from .poly import HPoly, infer_n_vars, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, classify_torus
 from .vfield import parse_field, parse_matrix, substitute_integer
@@ -75,7 +75,7 @@ def _parse_basis(text: str, n: int):
 
 def _random_basis(rng: Random, n: int):
     for _ in range(200):
-        rows = tuple(tuple(frac(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
+        rows = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
         try:
             return require_invertible(rows)
         except ValueError:
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="classify a JSONL corpus of {'f':..., 'n_vars':...} rows")
     p.add_argument("path", help="JSONL file, or - for stdin")
     p.add_argument("--workers", type=int, default=min(4, os.cpu_count() or 1))
-    p.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("lp-debug", help="solve a JSON linear program, printing every pivot")

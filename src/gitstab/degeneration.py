@@ -52,6 +52,12 @@ from .weights import WeightVector, weight_spectrum
 
 log = LazyLogger(__name__)
 
+# Refuse non-diagonal fields on more variables than this.  The eigenbasis
+# work grows about as n^4 (characteristic polynomial, split, eigenspaces);
+# dense fields with entries in [-3, 3] took about 0.5-0.8 s at n = 40 and
+# 1.7-2.9 s at n = 48 on a 2-core machine.
+MAX_FIELD_DIM = 40
+
 
 class DegenerationError(ValueError):
     """The field cannot degenerate f within this representation."""
@@ -131,7 +137,8 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
     is then not a limit of this hypersurface under a diagonal subgroup) or
     when the semisimple part has irrational eigenvalues (unsupported here).
     In the non-diagonal case f is first rewritten in the eigenbasis, recorded
-    in basis_change.
+    in basis_change; a field on more than MAX_FIELD_DIM variables is refused
+    with ValueError first.
     """
     if v.n != f.n_vars:
         raise ValueError(f"field on {v.n} variables cannot act on {f.n_vars}-variable polynomial")
@@ -141,6 +148,10 @@ def build_degeneration(f: HPoly, v: LinearVectorField) -> DegenerationReport:
         f_work = f
         basis = None
     else:
+        if v.n > MAX_FIELD_DIM:
+            raise ValueError(
+                f"a non-diagonal field on {v.n} variables is above the {MAX_FIELD_DIM} limit"
+            )
         found = _eigenbasis(f, v)
         if isinstance(found, str):
             raise DegenerationError(found)

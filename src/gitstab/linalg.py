@@ -10,9 +10,11 @@ tracer (`perfbench/tracer.py`) wraps `charpoly` and `nullspace` by name.  The
 degeneration path, the Newton step of the Chevalley split included, calls
 them on one `integer_matrix` per field and builds its Fractions once, at its
 end; `lp.kernel` is `nullspace` on a form's exponent rows.
-`require_invertible` is the rank test of the bases that come from outside
-(`--basis`, the random sweep, `vfield.substitute_linear`); a certified
-eigenbasis needs none.  Matrices are small (the ambient dimension is the
+`rank` has three users: `require_invertible`, the rank test of the bases
+that come from outside (`--basis`, the random sweep,
+`vfield.substitute_linear`); the eigenbasis certificate of
+`vfield.rational_diagonalize`, which needs no other; and `boxscan.scan_box`,
+which keeps a fixing vector only when it raises the rank.  Matrices are small (the ambient dimension is the
 number of coordinates, rarely above 8), so the cubic algorithms are
 adequate.
 

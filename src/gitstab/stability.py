@@ -42,8 +42,9 @@ basis sweep for a way to probe other bases.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from . import boxscan, lp
+from . import boxscan, linalg, lp
 from .lazylog import LazyLogger
 from .poly import HPoly
 from .record import record
@@ -99,18 +100,20 @@ def _verdict(f: HPoly, fixing_dim: int, kind=None, witness=None) -> StabilityVer
     """The verdict a witness of the given kind proves; with no kind, stable.
 
     This is the one witness check of both classifiers: made a primitive
-    integer vector, the witness must be nonzero and trace-zero, and its
-    support weights must all vanish (fixing), be non-negative with one
-    positive (semi) or all be positive (strict).
+    integer vector once, the witness must be nonzero and trace-zero, and its
+    integer support weights must all vanish (fixing), be non-negative with
+    one positive (semi) or all be positive (strict).
     """
     if kind is None:
         return StabilityVerdict(STABLE, None, 0, None)
-    lam = WeightVector.from_values(witness).primitive_integer()
-    weights = [lam.dot(g) for g in f.terms]
-    if lam.is_zero or lam.trace != 0 or not _WEIGHT_TESTS[kind](weights):
-        raise RuntimeError(f"{kind} witness {lam} fails the witness check")
+    lam = linalg.primitive(linalg.clear_denominators(witness)[0])
+    weights = [sum(map(mul, lam, g)) for g in f.terms]
+    if not any(lam) or sum(lam) or not _WEIGHT_TESTS[kind](weights):
+        raise RuntimeError(f"{kind} witness {','.join(map(str, lam))} fails the witness check")
     classification = WEAKLY_STABLE_NOT_STABLE if kind == "fixing" else NOT_WEAKLY_STABLE
-    return StabilityVerdict(classification, lam, fixing_dim, min(weights))
+    return StabilityVerdict(
+        classification, WeightVector.from_values(lam), fixing_dim, Fraction(min(weights))
+    )
 
 
 def _capped(objective, rows, optima, failure: str) -> lp.LPOutcome:

@@ -56,10 +56,6 @@ class WeightVector:
         return sum(self.values, Fraction(0))
 
     @property
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    @property
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.values)
 

@@ -13,6 +13,7 @@ from random import Random
 import pytest
 
 from gitstab.cli import main
+from gitstab.degeneration import MAX_FIELD_DIM
 from gitstab.poly import print_poly
 from helpers import (
     README_CLI_RECORD,
@@ -348,6 +349,18 @@ def test_degenerate_empty_field_is_a_malformed_field(capsys):
     assert code == 2 and out == "" and err.startswith("error: malformed field matrix: ")
 
 
+def test_degenerate_refuses_a_field_above_the_dimension_limit(capsys):
+    n = MAX_FIELD_DIM + 1
+    rows = json.dumps([[(i * n + j) % 7 - 3 for j in range(n)] for i in range(n)])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "degenerate", "-f", "z0^2", "-n", str(n), "--field", rows)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: a non-diagonal field on {n} variables is above the {MAX_FIELD_DIM} limit\n"
+    diagonal = "diag:" + ",".join(["1"] + ["0"] * (n - 1))
+    assert run(capsys, "degenerate", "-f", "z0^2", "-n", str(n), "--field", diagonal)[0] == 0
+
+
 def test_degenerate_nilpotent_obstruction_exits_two(capsys):
     rows = "[[0,1,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]"
     code, out, err = run(capsys, "degenerate", "-f", "z0*z1^2 + z2^2*z3", "--field", rows)
@@ -394,6 +407,11 @@ def test_corpus_single_worker(capsys, tmp_path):
         "weakly_stable_not_stable",
         "not_weakly_stable",
     ]
+    # corpus always prints JSON and takes no --json flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", str(path), "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

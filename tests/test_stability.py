@@ -48,7 +48,7 @@ def test_hyperbolic_quadric_weakly_stable():
     assert v.fixing_subspace_dim == 2
     assert v.certificate_mu == 0
     lam = v.destabilizer
-    assert lam is not None and not lam.is_zero and lam.trace == 0
+    assert lam is not None and any(lam) and lam.trace == 0
     assert all(lam.dot(g) == 0 for g in ((1, 1, 0, 0), (0, 0, 1, 1)))
     assert v.exit_code == 3
 
@@ -102,6 +102,11 @@ def test_oracle_golden():
     assert w.fixing_subspace_dim == 2
     s = oracle_classify(hp("z0^3 + z1^3 + z2^3 + z3^3", 4), 3)
     assert s.classification == STABLE
+    # Every trace-zero vector fixes z0*z1*z2*z3: the box spans the whole
+    # hyperplane, as the LP's kernel does.
+    a = oracle_classify(hp("z0*z1*z2*z3", 4), 2)
+    assert a.classification == WEAKLY_STABLE_NOT_STABLE
+    assert a.fixing_subspace_dim == 3 == classify_torus(hp("z0*z1*z2*z3", 4)).fixing_subspace_dim
 
 
 def test_oracle_box_guard():
@@ -190,6 +195,7 @@ cases = [
     ("z0^2 + z0*z1", "semi", (-1, 1)),  # weight -2 on z0^2
     ("z0*z1", "semi", (1, -1)),  # every weight zero
     ("z0^2 + z0*z1", "strict", (1, -1)),  # weight 0 on z0*z1
+    ("z0*z1", "fixing", (0, 0)),  # the zero vector fixes every form
 ]
 print(sys.flags.optimize)
 for text, kind, witness in cases:
@@ -232,6 +238,7 @@ def test_bogus_destabilizer_rejected_under_optimize():
         "semi witness -1,1 fails the witness check",
         "semi witness 1,-1 fails the witness check",
         "strict witness 1,-1 fails the witness check",
+        "fixing witness 0,0 fails the witness check",
         "cone and decision programs disagree",
     ]
 
