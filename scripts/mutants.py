@@ -235,6 +235,26 @@ MUTANTS = (
     ),
     # A rational root accepted without the exact evaluation.
     Mutant("roots-exact-check", VFIELD, "if _horner(q, y):", "if False:", ("tests/test_vfield.py", "-k", "root"), 120),
+    # The root search at the first prime, simple roots mod p or not: a
+    # double root mod p hides integer roots, so a split q reads as non-split.
+    Mutant(
+        "roots-simple-prime",
+        VFIELD,
+        "if all(_horner(dq, r, p) for r in residues):",
+        "if True:",
+        ("tests/test_vfield.py", "-k", "root"),
+        120,
+    ),
+    # No squarefree check over Q: no prime makes a repeated root simple, so
+    # the search never ends and the bounded-time test's timeout kills it.
+    Mutant(
+        "roots-squarefree-guard",
+        VFIELD,
+        "if len(linalg.poly_primitive_gcd(q, dq)) > 1:",
+        "if False:",
+        ("tests/test_vfield.py", "-k", "squarefree"),
+        120,
+    ),
     # Zero coefficients kept in HPoly's terms.
     Mutant(
         "hpoly-zero-terms",

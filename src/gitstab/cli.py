@@ -27,7 +27,7 @@ from .lazylog import configure_on_first_use
 from .linalg import integer_matrix, require_invertible
 from .poly import HPoly, infer_n_vars, parse_poly, print_poly
 from .stability import NOT_WEAKLY_STABLE, classify_torus
-from .vfield import parse_field, parse_matrix, substitute_integer
+from .vfield import check_substitution, parse_field, parse_matrix, substitute_integer
 from .weights import WeightVector, weight_spectrum
 
 EXIT_OK = 0
@@ -38,6 +38,10 @@ EXIT_INTERNAL = 6
 # linalg.nullspace builds n - rank vectors of length n, so classifying a form
 # in n variables costs about n^2 work and memory; larger inputs are refused.
 MAX_VARS = 256
+
+# Random bases one --basis-sweep may try: a full sweep of the 8-variable
+# Fermat cubic (60-100 ms a basis) took 72 s on a 2-core machine.
+MAX_BASIS_SWEEP = 1000
 
 
 def _parse_input(text, n_vars) -> HPoly:
@@ -127,11 +131,14 @@ def cmd_limit(args) -> int:
 def _classify_with_bases(args, f: HPoly):
     """Classify in the given coordinates, then in any requested bases,
     keeping the strongest instability found (verdict exit codes 0 < 3 < 4
-    rank stable, weakly stable and not weakly stable).  Every `--basis` is
-    validated first; the random ones are drawn as they are tried, and none
-    is tried once the verdict is not weakly stable.  Each basis has passed
-    `require_invertible` when it is parsed or drawn, so it is substituted
-    without a second rank test."""
+    rank stable, weakly stable and not weakly stable).  When any basis is
+    asked for, `check_substitution` refuses an oversized f before any basis
+    is read or drawn.  Every `--basis` is validated next; the random ones
+    are drawn as they are tried, and none is tried once the verdict is not
+    weakly stable.  Each basis has passed `require_invertible` when it is
+    parsed or drawn, so it is substituted without a second rank test."""
+    if args.basis or args.basis_sweep:
+        check_substitution(f)
     best = (classify_torus(f), "given")
     explicit = [_parse_basis(text, f.n_vars) for text in args.basis or []]
     rng = Random(args.seed)
@@ -151,6 +158,8 @@ def _classify_with_bases(args, f: HPoly):
 def cmd_stability(args) -> int:
     if args.basis_sweep < 0:
         raise ValueError(f"--basis-sweep must be at least 0, got {args.basis_sweep}")
+    if args.basis_sweep > MAX_BASIS_SWEEP:
+        raise ValueError(f"--basis-sweep must be at most {MAX_BASIS_SWEEP}, got {args.basis_sweep}")
     f = _load_poly(args)
     (verdict, basis), tried = _classify_with_bases(args, f)
     payload = verdict.to_json()

@@ -213,25 +213,6 @@ def _horner(c, x, m=0):
     return acc
 
 
-def _squarefree_mod(c, p) -> bool:
-    """Whether gcd(c, c') = 1 over GF(p); c must not vanish mod p."""
-    a = [x % p for x in c]
-    b = [i * x % p for i, x in enumerate(c) if i]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            f = a[-1] * inv % p
-            s = len(a) - len(b)
-            for i, x in enumerate(b):
-                a[s + i] = (a[s + i] - f * x) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _rational_roots(q):
     """Roots of a squarefree integer polynomial q with leading coefficient
     +-1, as `linalg.int_squarefree` returns it, in decreasing order; None if
@@ -239,23 +220,22 @@ def _rational_roots(q):
 
     Exact p-adic root finding (Loos 1983).  The rational roots of q are
     integers bounded by the Cauchy bound 1 + max|q_i|, and every test below
-    reads q up to sign.  For the first prime p modulo which q stays
-    squarefree, q splits over Q only if it has k = deg q distinct roots mod
-    p; each is simple, so Hensel lifting determines the candidate integer
-    root modulo p^e > twice the bound, and an exact evaluation accepts it.
-    Such a prime exists because only the finitely many primes dividing the
-    discriminant fail; when the first prime fails, gcd(q, q') over Q is
-    checked once and a polynomial that is not squarefree raises ValueError.
+    reads q up to sign.  A q that is not squarefree over Q (gcd(q, q') != 1)
+    raises ValueError.  p is the first prime at which every root of q mod p
+    is simple; only the finitely many primes dividing the discriminant fail.
+    Integer roots of q cannot meet mod p, as that would make a double root,
+    so q splits over Q only if it has k = deg q roots mod p; each is simple,
+    so Hensel lifting determines the candidate integer root modulo
+    p^e > twice the bound, and an exact evaluation accepts it.
     """
     k = len(q) - 1
-    dq = [i * x for i, x in enumerate(q) if i]
-    primes = _primes()
-    p = next(primes)
-    if not _squarefree_mod(q, p):
-        if len(linalg.poly_primitive_gcd(q, dq)) > 1:
-            raise ValueError("polynomial is not squarefree")
-        p = next(p for p in primes if _squarefree_mod(q, p))
-    residues = [r for r in range(p) if not _horner(q, r, p)]
+    dq = linalg.poly_derivative(q)
+    if len(linalg.poly_primitive_gcd(q, dq)) > 1:
+        raise ValueError("polynomial is not squarefree")
+    for p in _primes():
+        residues = [r for r in range(p) if not _horner(q, r, p)]
+        if all(_horner(dq, r, p) for r in residues):
+            break
     if len(residues) < k:
         return None
     bound = 2 * (1 + max((abs(x) for x in q[:-1]), default=0))
@@ -319,16 +299,12 @@ def substitute_linear(f: HPoly, basis) -> HPoly:
     return substitute_integer(f, *linalg.integer_matrix(linalg.require_invertible(p)))
 
 
-def substitute_integer(f: HPoly, p, den: int) -> HPoly:
-    """f pulled back along z -> (P/den) z, for an invertible integer matrix P.
-    With C the lcm of the denominators of f, C*f is expanded along P on
-    integers, giving C*den^d times the result (f has degree d), so each
-    output term is one reduced Fraction(x, C*den^d).
-    """
+def check_substitution(f: HPoly) -> None:
+    """Refuse f (ValueError) when expanding it along a dense basis would take
+    more than MAX_SUBSTITUTION_WORK coefficient products: the powers of the
+    linear forms, then each monomial's partial products.  The count depends
+    on f alone, so callers check it before any basis is read or drawn."""
     n = f.n_vars
-    # Coefficient products of the expansion below for a dense basis: the
-    # powers of the linear forms, then each monomial's partial products.  The
-    # power e of a linear form has size(e) terms.
     max_exp = [max(m[i] for m in f.terms) for i in range(n)]
     size = lambda e: comb(e + n - 1, n - 1)
     work = n * sum(comb(e + n - 1, n) for e in max_exp) + sum(
@@ -339,6 +315,18 @@ def substitute_integer(f: HPoly, p, den: int) -> HPoly:
             f"substitution needs about {work} coefficient products, "
             f"above the {MAX_SUBSTITUTION_WORK} limit"
         )
+
+
+def substitute_integer(f: HPoly, p, den: int) -> HPoly:
+    """f pulled back along z -> (P/den) z, for an invertible integer matrix P,
+    after `check_substitution` has bounded the work.  With C the lcm of the
+    denominators of f, C*f is expanded along P on integers, giving
+    C*den^d times the result (f has degree d), so each output term is one
+    reduced Fraction(x, C*den^d).
+    """
+    check_substitution(f)
+    n = f.n_vars
+    max_exp = [max(m[i] for m in f.terms) for i in range(n)]
     coeffs, scale = linalg.clear_denominators(f.terms.values())
     zero_mono = tuple([0] * n)
     units = [tuple([int(k == j) for k in range(n)]) for j in range(n)]

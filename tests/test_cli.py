@@ -286,6 +286,8 @@ def test_a_constant_term_is_a_usage_error(capsys):
 def test_stability_refuses_a_negative_basis_sweep(capsys):
     code, out, err = run(capsys, "stability", "-f", "z0^2+z1^2", "--basis-sweep", "-1")
     assert (code, out, err) == (2, "", "error: --basis-sweep must be at least 0, got -1\n")
+    code, out, err = run(capsys, "stability", "-f", "z0^2+z1^2", "--basis-sweep", "1001")
+    assert (code, out, err) == (2, "", "error: --basis-sweep must be at most 1000, got 1001\n")
 
 
 def test_destabilize(capsys):
@@ -533,18 +535,22 @@ def test_cone_program_short_of_the_cap_is_its_corpus_line_error(capsys, monkeypa
 
 def test_oversized_basis_change_exits_two_quickly(capsys):
     # Expanding z0^800 + z1^800 in the swap field's eigenbasis took 11 s
-    # before the substitution was bounded.
+    # before the substitution was bounded, and drawing and rank-testing one
+    # random basis in 256 variables took 16 s before the bound was checked
+    # ahead of every basis.
     big = "z0^800 + z1^800"
-    for argv in (
-        ("degenerate", "-f", big, "--field", "[[0,1],[1,0]]"),
-        ("stability", "-f", big, "--basis", "[[1,1],[1,-1]]"),
+    wide = " + ".join(f"z{i}^2" for i in range(256))
+    for argv, work in (
+        (("degenerate", "-f", big, "--field", "[[0,1],[1,0]]"), 1283202),
+        (("stability", "-f", big, "--basis", "[[1,1],[1,-1]]"), 1283202),
+        (("stability", "-f", wide, "--basis-sweep", "1"), 25264128),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
         assert err == (
-            "error: substitution needs about 1283202 coefficient products, "
+            f"error: substitution needs about {work} coefficient products, "
             "above the 200000 limit\n"
         )
 

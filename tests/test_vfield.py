@@ -12,7 +12,6 @@ from gitstab.stability import WEAKLY_STABLE_NOT_STABLE, classify_torus
 from gitstab.vfield import (
     LinearVectorField,
     _rational_roots,
-    _squarefree_mod,
     apply_derivation,
     chevalley_split,
     invariance,
@@ -501,11 +500,13 @@ def test_rational_roots_non_split_golden():
     # x^2 - 7 is (x + 1)^2 mod 2 and (x - 1)(x + 1) mod 3, so both roots
     # mod 3 are lifted and then fail the exact check.
     x2m7 = [-7, 0, 1]
-    assert not _squarefree_mod(x2m7, 2) and _squarefree_mod(x2m7, 3)
     assert _rational_roots(x2m7) is None
     assert _rational_roots([-c for c in x2m7]) is None
     # a rational root next to an irreducible quadratic
     assert _rational_roots([-2, 1, -2, 1]) is None  # (x - 2)(x^2 + 1)
+    # x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1) is squarefree over Q but
+    # (x^2 + x + 1)^2 mod 2, with no root mod 2: the search stops at p = 2.
+    assert _rational_roots([1, 0, 1, 0, 1]) is None
 
 
 def test_rational_roots_against_sympy():
